@@ -24,9 +24,6 @@
 //! assert!(outcome.resolved_taken);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod btb;
 pub mod config;
 pub mod direction;

@@ -42,7 +42,7 @@ proptest! {
         updates in proptest::collection::vec((0u64..512, 0u64..1_000_000), 1..200),
     ) {
         let mut btb = BranchTargetBuffer::new(2048, 8);
-        let mut last = std::collections::HashMap::new();
+        let mut last = std::collections::BTreeMap::new();
         for &(slot, target) in &updates {
             let pc = 0x1000 + slot * 4;
             btb.update(pc, target);

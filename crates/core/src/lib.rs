@@ -40,9 +40,6 @@
 //! assert!(result.per_core[0].ipc() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod config;
 pub mod core_model;
 pub mod multicore;

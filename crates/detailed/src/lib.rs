@@ -34,9 +34,6 @@
 //! assert!(result.per_core[0].ipc() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod config;
 pub mod multicore;
 pub mod oneipc;

@@ -257,6 +257,10 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
         while committed < self.config.dispatch_width {
             let Some(head) = self.rob.front() else { break };
             if head.issued && head.complete_at <= now {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "ROB/fetch-queue pops guarded by front() checks in the same function"
+                )]
                 let e = self.rob.pop_front().expect("head exists");
                 if e.inst.mem.is_some() {
                     self.lsq_occupancy -= 1;
@@ -427,6 +431,10 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
                 }
             }
 
+            #[expect(
+                clippy::expect_used,
+                reason = "ROB/fetch-queue pops guarded by front() checks in the same function"
+            )]
             let fe = self.fetch_queue.pop_front().expect("front checked above");
             let inst = fe.inst;
             let seq = inst.seq;

@@ -1,32 +1,18 @@
-//! # iss-lint — determinism lints for the interval-simulation workspace
+//! # iss-lint — static analysis of scenario specs
 //!
-//! The repo's contract — bit-identical records at any `ISS_THREADS`,
-//! byte-identical golden regeneration — rests on coding rules nothing
-//! used to enforce: no default-hasher maps in model code, no wall-clock
-//! reads outside one portal, no panics on user-reachable library paths.
-//! This crate enforces them statically, in the workspace's hand-rolled
-//! offline style (no rustc plugin, no syn):
+//! [`spec`] checks a scenario spec before any simulation: duplicate
+//! design points by canonical digest, dead sweep axes, machine-config
+//! sanity, and an expansion cost estimate from `ci/BENCH_baseline.json`.
+//! `iss lint <spec|dir>` runs it interactively and in CI.
 //!
-//! * [`source`] — **pass 1**: a line-faithful `.rs` scanner (see
-//!   [`scan`]) that walks every workspace crate and reports
-//!   determinism-hostile patterns, with a reviewed, ratcheting
-//!   suppression file parsed by [`allowlist`] (`ci/lint_allow.toml`).
-//! * [`spec`] — **pass 2**: static analysis of scenario specs before
-//!   any simulation — duplicate design points by canonical digest, dead
-//!   sweep axes, machine-config sanity, and an expansion cost estimate
-//!   from `ci/BENCH_baseline.json`.
-//!
-//! Both passes run in CI through the `lint_gate` binary (alongside
-//! `accuracy_gate` and `perf_gate`) and interactively through
-//! `iss lint <spec|dir>`.
+//! The workspace's source-level determinism rules (no default-hasher
+//! maps, no wall-clock reads outside `HostTimer`, no library panics) are
+//! not checked here: they come from the toolchain, through the root
+//! `clippy.toml` and `[workspace.lints]` (see the README).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod allowlist;
-pub mod scan;
-pub mod source;
 pub mod spec;
 
-pub use source::{Finding, Lint};
 pub use spec::{analyze, ModelMips, Severity, SpecReport};

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 
+use iss_sim::jsonval::{self, Json};
 use iss_sim::workload::WorkloadSpec;
 use iss_sim::{CoreModel, SweepSpec};
 
@@ -65,27 +66,26 @@ pub struct ModelMips {
 
 impl ModelMips {
     /// Extracts `{"model": .., "simulated_mips": ..}` pairs from the
-    /// baseline file's `models` array — the same hand-rolled JSON-subset
-    /// idiom as the CI gates, tolerant only of the exact shape the perf
-    /// harness writes.
+    /// baseline file's `models` array.
     ///
     /// # Errors
     ///
-    /// Returns an error when no model entry can be extracted (an empty
-    /// estimate must be an explicit "no baseline", not a silent zero).
+    /// Returns an error when the text is not valid JSON, or when no model
+    /// entry can be extracted (an empty estimate must be an explicit "no
+    /// baseline", not a silent zero).
     pub fn parse(json: &str) -> Result<ModelMips, String> {
-        let mut entries = Vec::new();
-        for obj in json.split('{').skip(1) {
-            let Some(model) = str_field(obj, "model") else {
-                continue;
-            };
-            let Some(mips) = num_field(obj, "simulated_mips") else {
-                continue;
-            };
-            if mips > 0.0 {
-                entries.push((model, mips));
-            }
-        }
+        let doc = jsonval::parse(json)?;
+        let entries: Vec<(String, f64)> = doc
+            .get("models")
+            .and_then(Json::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|m| {
+                let model = m.get("model")?.as_str()?;
+                let mips = m.get("simulated_mips")?.as_f64()?;
+                (mips > 0.0).then(|| (model.to_string(), mips))
+            })
+            .collect();
         if entries.is_empty() {
             return Err("no model entries with a positive simulated_mips found".to_string());
         }
@@ -107,24 +107,6 @@ impl ModelMips {
                     .min_by(|a, b| a.total_cmp(b))
             })
     }
-}
-
-fn str_field(obj: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\"");
-    let after = &obj[obj.find(&marker)? + marker.len()..];
-    let after = after.trim_start().strip_prefix(':')?.trim_start();
-    let body = after.strip_prefix('"')?;
-    Some(body[..body.find('"')?].to_string())
-}
-
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\"");
-    let after = &obj[obj.find(&marker)? + marker.len()..];
-    let after = after.trim_start().strip_prefix(':')?.trim_start();
-    let end = after
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(after.len());
-    after[..end].parse().ok()
 }
 
 /// Total simulated instructions one expanded point costs.
@@ -427,5 +409,12 @@ mod tests {
         // Unknown models fall back to the slowest entry.
         assert_eq!(mips.mips_for("hybrid-periodic-4@2000"), Some(0.5));
         assert!(ModelMips::parse("{}").is_err());
+        // A truncated file is an error, never a partial read.
+        let cut = &BASELINE[..BASELINE.find("detailed").unwrap()];
+        assert!(ModelMips::parse(cut).is_err());
+        // The checked-in perf baseline parses.
+        let real = include_str!("../../../ci/BENCH_baseline.json");
+        let mips = ModelMips::parse(real).unwrap();
+        assert!(mips.mips_for("interval").is_some_and(|m| m > 0.0));
     }
 }

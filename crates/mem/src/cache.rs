@@ -325,6 +325,10 @@ impl Cache {
             };
             None
         } else {
+            #[expect(
+                clippy::expect_used,
+                reason = "victim selection over a set proven non-empty by construction (ways >= 1)"
+            )]
             let victim_pos = set
                 .iter()
                 .enumerate()

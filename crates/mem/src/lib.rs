@@ -16,9 +16,6 @@
 //! assert!(access.latency >= 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cache;
 pub mod config;
 pub mod dram;

@@ -224,18 +224,29 @@ pub fn try_run_batch_with_threads(
                     break;
                 }
                 let result = execute(i);
-                *slots[i].lock().expect("result slot lock") = Some(result);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "worker-scope mutex poisoning and unfilled slots are engine bugs, not user input"
+                )]
+                let mut slot = slots[i].lock().expect("result slot lock");
+                *slot = Some(result);
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot lock")
-                .expect("every job slot is filled before the scope ends")
-        })
-        .collect()
+    let mut results = Vec::with_capacity(slots.len());
+    for slot in slots {
+        #[expect(
+            clippy::expect_used,
+            reason = "worker-scope mutex poisoning and unfilled slots are engine bugs, not user input"
+        )]
+        let filled = slot.into_inner().expect("result slot lock");
+        #[expect(
+            clippy::expect_used,
+            reason = "worker-scope mutex poisoning and unfilled slots are engine bugs, not user input"
+        )]
+        results.push(filled.expect("every job slot is filled before the scope ends"));
+    }
+    results
 }
 
 /// [`try_run_batch_with_threads`] with the [`configured_threads`] worker

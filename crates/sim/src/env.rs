@@ -29,9 +29,6 @@
 //!   ([`cache_dir_from_env`]).
 //! * `ISS_CACHE_MAX_MB` — result-store size bound in MiB
 //!   ([`parse_cache_max_mb`], [`try_cache_max_mb_from_env`]).
-//! * `ISS_WARM_BATCH` — functional-warming batch size for the
-//!   structure-of-arrays hot path ([`parse_warm_batch`],
-//!   [`try_warm_batch_from_env`]).
 
 use crate::experiments::ExperimentScale;
 
@@ -509,69 +506,6 @@ pub fn try_cache_max_mb_from_env() -> Result<u64, String> {
     parse_cache_max_mb(value.as_deref())
 }
 
-/// Default functional-warming batch size (see [`parse_warm_batch`]).
-///
-/// 64 instructions amortize the per-batch column passes well while keeping
-/// the structure-of-arrays buffers inside the L1 data cache. The default is
-/// expressed as a whole number of [`iss_simd::LANE_WIDTH`] lanes so the
-/// batched columns feed the lane kernels full chunks with no scalar tail
-/// (any batch size is bit-identical; lane-multiple sizes are just fastest).
-pub const DEFAULT_WARM_BATCH: usize = 8 * iss_simd::LANE_WIDTH;
-
-/// Parses an `ISS_WARM_BATCH` value into the functional-warming batch size.
-///
-/// `None` (variable unset) and the empty string select
-/// [`DEFAULT_WARM_BATCH`]. Anything else must be a positive integer:
-/// batching is bit-identical at every size (batch `1` degenerates to the
-/// scalar path), but `0` would make the warming loop spin without retiring
-/// instructions and is **rejected**, as is garbage — a typo must not
-/// silently change the warming throughput an experiment was sized for.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a positive
-/// integer.
-pub fn parse_warm_batch(value: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = value else {
-        return Ok(DEFAULT_WARM_BATCH);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(DEFAULT_WARM_BATCH);
-    }
-    let expected = "a positive integer of instructions";
-    let escape = "unset the variable to use the default batch of 64";
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(reject("ISS_WARM_BATCH", expected, "0", escape)),
-        Ok(n) => Ok(n),
-        Err(_) => Err(reject("ISS_WARM_BATCH", expected, trimmed, escape)),
-    }
-}
-
-/// Reads the functional-warming batch size from `ISS_WARM_BATCH` (see
-/// [`parse_warm_batch`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to `0` or to a non-numeric value.
-pub fn try_warm_batch_from_env() -> Result<usize, String> {
-    let value = std::env::var("ISS_WARM_BATCH").ok();
-    parse_warm_batch(value.as_deref())
-}
-
-/// Panicking convenience over [`try_warm_batch_from_env`] for callers with
-/// no error channel of their own.
-///
-/// # Panics
-///
-/// Panics with a clear message when `ISS_WARM_BATCH` is set to `0` or to a
-/// non-numeric value (see [`parse_warm_batch`]).
-#[must_use]
-pub fn warm_batch_from_env() -> usize {
-    try_warm_batch_from_env().unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -794,27 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_batch_parsing_accepts_positive_integers_and_defaults_when_unset() {
-        assert_eq!(parse_warm_batch(None), Ok(DEFAULT_WARM_BATCH));
-        assert_eq!(parse_warm_batch(Some("")), Ok(DEFAULT_WARM_BATCH));
-        assert_eq!(parse_warm_batch(Some("1")), Ok(1), "1 = the scalar path");
-        assert_eq!(parse_warm_batch(Some(" 128 ")), Ok(128));
-    }
-
-    #[test]
-    fn warm_batch_parsing_rejects_zero_and_garbage_loudly() {
-        let zero = parse_warm_batch(Some("0")).unwrap_err();
-        assert!(
-            zero.contains("ISS_WARM_BATCH") && zero.contains("`0`"),
-            "got: {zero}"
-        );
-        let junk = parse_warm_batch(Some("wide")).unwrap_err();
-        assert!(junk.contains("`wide`"), "got: {junk}");
-        let negative = parse_warm_batch(Some("-8")).unwrap_err();
-        assert!(negative.contains("`-8`"), "got: {negative}");
-    }
-
-    #[test]
     fn all_variables_share_the_error_shape() {
         let threads = parse_thread_count(Some("nope")).unwrap_err();
         let scale = parse_scale(Some("nope")).unwrap_err();
@@ -824,9 +737,8 @@ mod tests {
         let fault = parse_fault_spec(Some("nope")).unwrap_err();
         let workers = parse_serve_workers(Some("nope")).unwrap_err();
         let cache = parse_cache_max_mb(Some("nope")).unwrap_err();
-        let warm = parse_warm_batch(Some("nope")).unwrap_err();
         for e in [
-            &threads, &scale, &shards, &retries, &timeout, &fault, &workers, &cache, &warm,
+            &threads, &scale, &shards, &retries, &timeout, &fault, &workers, &cache,
         ] {
             assert!(e.contains("must be"), "got: {e}");
             assert!(e.contains("`nope`"), "got: {e}");

@@ -107,6 +107,10 @@ impl Fig4Variant {
     ///
     /// Never panics: the presets resolve by construction.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "fig4 presets are compiled-in specs that resolve by construction"
+    )]
     pub fn config(self) -> crate::config::SystemConfig {
         self.machine()
             .resolve(1)

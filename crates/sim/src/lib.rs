@@ -26,9 +26,6 @@
 //! assert!(summary.aggregate_ipc() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod batch;
 pub mod config;
 pub mod env;

@@ -428,17 +428,20 @@ impl AnyMachine {
                         .into_iter()
                         .map(|c| (c.resume, c.pending, c.stream, Some(c.branch))),
                 );
+                #[expect(
+                    clippy::expect_used,
+                    reason = "interval/detailed cores always model a branch predictor; None is a core-model bug"
+                )]
+                let branch: Vec<BranchUnit> = branch
+                    .into_iter()
+                    .map(|b| b.expect("interval cores predict branches"))
+                    .collect();
                 (
                     BaseModel::Interval,
                     parts.machine_time,
                     per_core,
                     streams,
-                    Some(
-                        branch
-                            .into_iter()
-                            .map(|b| b.expect("interval cores predict branches"))
-                            .collect(),
-                    ),
+                    Some(branch),
                     parts.memory,
                     parts.sync,
                 )
@@ -451,17 +454,20 @@ impl AnyMachine {
                         .into_iter()
                         .map(|c| (c.resume, c.pending, c.stream, c.branch)),
                 );
+                #[expect(
+                    clippy::expect_used,
+                    reason = "interval/detailed cores always model a branch predictor; None is a core-model bug"
+                )]
+                let branch: Vec<BranchUnit> = branch
+                    .into_iter()
+                    .map(|b| b.expect("detailed cores predict branches"))
+                    .collect();
                 (
                     BaseModel::Detailed,
                     parts.machine_time,
                     per_core,
                     streams,
-                    Some(
-                        branch
-                            .into_iter()
-                            .map(|b| b.expect("detailed cores predict branches"))
-                            .collect(),
-                    ),
+                    Some(branch),
                     parts.memory,
                     parts.sync,
                 )

@@ -194,6 +194,7 @@ impl SimSummary {
     pub fn canonical_record(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
+        #[expect(clippy::expect_used, reason = "write! to a String is infallible")]
         write!(
             s,
             "model={};workload={};cycles={};instructions={}",
@@ -204,13 +205,16 @@ impl SimSummary {
         )
         .expect("write to String cannot fail");
         for c in &self.per_core {
+            #[expect(clippy::expect_used, reason = "write! to a String is infallible")]
             write!(s, ";core{}={},{}", c.core, c.instructions, c.cycles)
                 .expect("write to String cannot fail");
         }
+        #[expect(clippy::expect_used, reason = "write! to a String is infallible")]
         write!(s, ";swaps={}", self.swaps).expect("write to String cannot fail");
         if let Some(est) = &self.sampling {
             // f64 Display prints the shortest round-trip representation, so
             // equal records imply bit-equal estimates.
+            #[expect(clippy::expect_used, reason = "write! to a String is infallible")]
             write!(
                 s,
                 ";sampling=units{}/{},prefix{},insts{},cpi{},steady{},slope{},sd{},ci{}",
@@ -226,6 +230,7 @@ impl SimSummary {
             )
             .expect("write to String cannot fail");
         }
+        #[expect(clippy::expect_used, reason = "write! to a String is infallible")]
         write!(s, ";memory={:?}", self.memory).expect("write to String cannot fail");
         s
     }
@@ -274,6 +279,7 @@ pub fn run(
         CoreModel::Hybrid(spec) => crate::hybrid::run_hybrid(spec, config, built, label),
         CoreModel::Sampled(spec) => crate::sampling::run_sampled(spec, config, built, label),
         base => {
+            #[expect(clippy::expect_used, reason = "base() on a model validated non-hybrid")]
             let kind = base.base().expect("non-hybrid model has a base kind");
             let mut machine = AnyMachine::build(kind, config, built);
             machine.run_to_completion();

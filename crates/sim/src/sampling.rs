@@ -40,7 +40,7 @@
 //! (instruction counts, stream contents, synchronization outcomes), so a
 //! sampled run is bit-identical across `ISS_THREADS` settings, exactly like
 //! the plain and hybrid runs. Warming itself executes in structure-of-arrays
-//! batches (`ISS_WARM_BATCH` instructions decoded per batch, 64 by default):
+//! batches ([`DEFAULT_WARM_BATCH`] instructions decoded per batch):
 //! [`iss_trace::fast_forward_batched`] fills an [`InstBatch`]'s columns, the
 //! hierarchy walks the batch's line-deduplicated I-side and data column in
 //! program order (`MemoryHierarchy::warm_access_batch`), and the branch unit
@@ -70,6 +70,15 @@ use crate::runner::{BaseModel, CoreModel, CoreSummary, SimSummary};
 /// Cache-line shift used to batch instruction-side warming accesses (one
 /// hierarchy access per fetched line, as a real fetch unit would).
 const IFETCH_LINE_SHIFT: u32 = 6;
+
+/// Functional-warming batch size of [`run_sampled`].
+///
+/// 64 instructions amortize the per-batch column passes well while keeping
+/// the structure-of-arrays buffers inside the L1 data cache. The size is a
+/// whole number of [`iss_simd::LANE_WIDTH`] lanes so the batched columns
+/// feed the lane kernels full chunks with no scalar tail (any batch size is
+/// bit-identical; lane-multiple sizes are just fastest).
+pub const DEFAULT_WARM_BATCH: usize = 8 * iss_simd::LANE_WIDTH;
 
 /// Complete description of a sampled run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -242,6 +251,10 @@ impl SamplingEstimate {
 
         // Instruction-weighted sampled means of CPI and miss rate.
         let (y_bar, z_bar_sampled) = if w_total > 0.0 {
+            #[expect(
+                clippy::expect_used,
+                reason = "measured units always carry a CPI; the sampler sets it before aggregation"
+            )]
             let wy: f64 = sampled
                 .iter()
                 .map(|u| u.insts as f64 * u.cpi.expect("sampled unit has a CPI"))
@@ -283,6 +296,10 @@ impl SamplingEstimate {
                 })
                 .sum();
             if sxx > 1e-12 * w_total {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "measured units always carry a CPI; the sampler sets it before aggregation"
+                )]
                 let sxy: f64 = sampled
                     .iter()
                     .map(|u| {
@@ -335,6 +352,7 @@ impl SamplingEstimate {
             let ss_res: f64 = sampled
                 .iter()
                 .map(|u| {
+                    #[expect(clippy::expect_used, reason = "measured units always carry a CPI; the sampler sets it before aggregation")]
                     let e = u.cpi.expect("sampled unit has a CPI")
                         - y_bar
                         - slope * (u.aux_per_inst - z_bar_sampled);
@@ -557,14 +575,11 @@ fn probe(machine: &AnyMachine, spec: SamplingSpec) -> (u64, u64, u64, Vec<(u64, 
 /// recorded as `swaps`).
 ///
 /// Functional warming runs in structure-of-arrays batches of
-/// `ISS_WARM_BATCH` instructions (64 by default); the batch size is a pure
-/// throughput knob — every value produces bit-identical records.
+/// [`DEFAULT_WARM_BATCH`] instructions.
 ///
 /// # Panics
 ///
-/// Panics when the spec is invalid (see [`SamplingSpec::validate`]) or
-/// `ISS_WARM_BATCH` is set to `0` or garbage (see
-/// [`crate::env::parse_warm_batch`]).
+/// Panics when the spec is invalid (see [`SamplingSpec::validate`]).
 #[must_use]
 pub fn run_sampled(
     spec: SamplingSpec,
@@ -572,19 +587,12 @@ pub fn run_sampled(
     workload: ThreadedWorkload,
     label: String,
 ) -> SimSummary {
-    run_sampled_with_batch(
-        spec,
-        config,
-        workload,
-        label,
-        crate::env::warm_batch_from_env(),
-    )
+    run_sampled_with_batch(spec, config, workload, label, DEFAULT_WARM_BATCH)
 }
 
-/// [`run_sampled`] with an explicit warming batch size instead of the
-/// `ISS_WARM_BATCH` environment variable — the deterministic injection seam
-/// the differential tests and benches use to compare batch sizes without
-/// mutating the process environment.
+/// [`run_sampled`] with an explicit warming batch size — the seam the
+/// differential tests use to show that every batch size, including the
+/// scalar-degenerate `1`, produces bit-identical records.
 ///
 /// # Panics
 ///

@@ -218,6 +218,10 @@ impl Record {
     pub fn canonical(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
+        #[expect(
+            clippy::expect_used,
+            reason = "write!-to-String sites; String's fmt::Write cannot fail"
+        )]
         write!(
             s,
             "sweep={};group={};variant={};digest={};workload={};cores={};seed={};\
@@ -235,10 +239,18 @@ impl Record {
         )
         .expect("write to String cannot fail");
         for c in &self.per_core {
+            #[expect(
+                clippy::expect_used,
+                reason = "write!-to-String sites; String's fmt::Write cannot fail"
+            )]
             write!(s, ";core{}={},{}", c.core, c.instructions, c.cycles)
                 .expect("write to String cannot fail");
         }
         if let Some(est) = &self.sampling {
+            #[expect(
+                clippy::expect_used,
+                reason = "write!-to-String sites; String's fmt::Write cannot fail"
+            )]
             write!(
                 s,
                 ";sampling=units{}/{},cpi{},ci{}",

@@ -2,6 +2,9 @@
 //! round trips, bit-identity of pinned hybrid runs, worker-count invariance
 //! of hybrid batch rows, and the speed-vs-accuracy acceptance frontier.
 
+// Test helpers panic on failure, like the tests that call them.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use iss_sim::batch::run_batch_with_threads;
 use iss_sim::experiments::{default_hybrid_policies, fig_hybrid, ExperimentScale};
 use iss_sim::hybrid::HybridSpec;

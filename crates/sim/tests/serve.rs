@@ -4,6 +4,9 @@
 //! 100% hits with byte-identical responses, concurrent identical
 //! requests deduplicate to one simulation, and shutdown is clean.
 
+// Test helpers panic on failure, like the tests that call them.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 

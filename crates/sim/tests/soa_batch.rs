@@ -1,9 +1,10 @@
 //! Differential bit-identity suite for the structure-of-arrays hot path.
 //!
 //! The batched warming entry points (`MemoryHierarchy::warm_access_batch`,
-//! `BranchUnit::update_batch`, and the sampled runner's `ISS_WARM_BATCH`
-//! plumbing) promise *exact* equivalence with the scalar per-instruction
-//! path: batch size is a pure throughput knob, never a modeling knob. This
+//! `BranchUnit::update_batch`, and the sampled runner's batch-size seam
+//! `run_sampled_with_batch`) promise *exact* equivalence with the scalar
+//! per-instruction path: batch size is a throughput choice, never a
+//! modeling knob. This
 //! suite pins that contract at three layers:
 //!
 //! 1. the memory hierarchy — scalar `access_instruction`/`access_data`
@@ -15,7 +16,7 @@
 //!    (probe outcomes depend on every table the training touched);
 //! 3. the sampled runner — `run_sampled_with_batch` at batch 1, 7, 13 and
 //!    64 produces identical summaries, and driver records are unchanged
-//!    when `ISS_WARM_BATCH`/`ISS_THREADS` vary together.
+//!    between one and four `ISS_THREADS` workers.
 //!
 //! The batch sizes straddle `iss_simd::LANE_WIDTH` (8) on purpose: 1, 3
 //! and 7 exercise pure remainder-loop batches, 13 a full lane plus a
@@ -26,9 +27,12 @@
 //! process environment with `std::env::set_var`, which is unsound when other
 //! threads concurrently read the environment (glibc `setenv`/`getenv`
 //! race). As the sole test it runs with no sibling test threads, and the
-//! batch workers it spawns never touch the environment (both
-//! `configured_threads` and the warming batch size are read on the calling
-//! thread before any pool starts).
+//! batch workers it spawns never touch the environment
+//! (`configured_threads` is read on the calling thread before any pool
+//! starts).
+
+// Test helpers panic on failure, like the tests that call them.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use iss_branch::{BranchStats, BranchUnit};
 use iss_mem::MemoryHierarchy;
@@ -328,18 +332,15 @@ fn soa_batched_paths_are_bit_identical_to_scalar() {
         }
     }
 
-    // Layer 3b: driver records are invariant under the environment knobs —
-    // scalar warming on one worker vs default-size batches on four.
+    // Layer 3b: driver records are invariant under the worker count.
     let scale = ExperimentScale {
         spec_length: 20_000,
         parsec_length: 40_000,
         seed: 11,
     };
     let sampling_spec = default_sampling_specs(scale)[0];
-    std::env::set_var("ISS_WARM_BATCH", "1");
     std::env::set_var("ISS_THREADS", "1");
     let serial = fig_sampling(&["gcc", "mcf"], &[sampling_spec], scale);
-    std::env::remove_var("ISS_WARM_BATCH");
     std::env::set_var("ISS_THREADS", "4");
     let parallel = fig_sampling(&["gcc", "mcf"], &[sampling_spec], scale);
     std::env::remove_var("ISS_THREADS");

@@ -19,13 +19,12 @@
 //! occurrence, so lane order can never leak into results and the simulator
 //! stays bit-identical whether or not the backend is detected.
 //!
-//! Lint note: the source lint engine (`crates/lint`) deliberately leaves
-//! this crate out of its model/harness tree lists. Model crates must carry
-//! `#![forbid(unsafe_code)]`, which is incompatible with `std::arch` by
-//! design; confining the intrinsics to this dedicated leaf crate is what
-//! keeps the model-crate allowlist budget at zero (ISSUE 10). The crate
-//! compiles under `clippy -D warnings` like everything else, and every
-//! `unsafe fn` documents its safety contract.
+//! Lint note: this crate deliberately does not inherit the workspace
+//! `[lints]` table. Model crates inherit `unsafe_code = "forbid"`, which is
+//! incompatible with `std::arch` by design; confining the intrinsics to
+//! this dedicated leaf crate keeps every model crate unsafe-free. The
+//! crate compiles under `clippy -D warnings` like everything else, and
+//! every `unsafe fn` documents its safety contract.
 
 #![warn(missing_docs)]
 

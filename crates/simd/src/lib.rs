@@ -39,9 +39,6 @@
 //! results never depend on the lane width, so there is nothing a knob
 //! could change except making the tails longer.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 /// Number of 64-bit lanes the slice kernels process per main-loop step.
 pub const LANE_WIDTH: usize = 8;
 

@@ -11,7 +11,16 @@
 //! Swapping the hasher changes nothing observable: `HashMap` semantics are
 //! hasher-independent, and no simulator iterates a map in hash order.
 
-use std::collections::{HashMap, HashSet};
+#[expect(
+    clippy::disallowed_types,
+    reason = "defines the FxHashMap/FxHashSet aliases; hasher is deterministic and no map order escapes"
+)]
+use std::collections::HashMap;
+#[expect(
+    clippy::disallowed_types,
+    reason = "defines the FxHashMap/FxHashSet aliases; hasher is deterministic and no map order escapes"
+)]
+use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 64-bit Fx multiply constant (from Firefox / rustc-hash).
@@ -40,6 +49,10 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in chunks.by_ref() {
+            #[expect(
+                clippy::expect_used,
+                reason = "chunks_exact(8) yields exactly 8-byte slices; try_into cannot fail"
+            )]
             self.add_to_hash(u64::from_ne_bytes(c.try_into().expect("8-byte chunk")));
         }
         let rest = chunks.remainder();
@@ -77,9 +90,17 @@ impl Hasher for FxHasher {
 }
 
 /// `HashMap` with the Fx hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "defines the FxHashMap/FxHashSet aliases; hasher is deterministic and no map order escapes"
+)]
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// `HashSet` with the Fx hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "defines the FxHashMap/FxHashSet aliases; hasher is deterministic and no map order escapes"
+)]
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]

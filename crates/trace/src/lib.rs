@@ -33,9 +33,6 @@
 //! assert!(loads > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod catalog;
 pub mod checkpoint;
 pub mod fastfwd;

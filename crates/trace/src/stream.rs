@@ -893,6 +893,10 @@ impl InstructionStream for SyntheticStream {
             self.next_barrier_at = seq + self.barrier_period.max(1);
             self.emit_serializing(seq, pc, Some(SyncOp::BarrierArrive { id }))
         } else if self.held_lock.is_some() && self.critical_remaining == 0 {
+            #[expect(
+                clippy::expect_used,
+                reason = "held_lock is Some on the release path by the stream's own state machine"
+            )]
             let id = self.held_lock.take().expect("held lock present");
             self.next_lock_at = seq + self.lock_period.max(1);
             self.emit_lock_access(seq, pc, id, false)
