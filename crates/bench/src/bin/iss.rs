@@ -56,10 +56,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use iss_bench::scenarios::{builtin_sweep, is_wall_clock_frontier, BUILTINS};
-use iss_sim::env::{
-    try_configured_threads, try_job_timeout_from_env, try_retries_from_env, try_scale_from_env,
-    try_shards_from_env,
-};
+use iss_sim::env::{EXPERIMENT_SCALE, JOB_TIMEOUT_MS, SHARDS, SHARD_RETRIES, THREADS};
 use iss_sim::experiments::ExperimentScale;
 use iss_sim::report;
 use iss_sim::scenario::{render_records_json, render_records_jsonl};
@@ -99,7 +96,7 @@ fn main() -> ExitCode {
 /// Reads `ISS_EXPERIMENT_SCALE` through the typed-error path so a typo is
 /// a clean CLI diagnostic instead of a panic.
 fn cli_scale(command: &str) -> Result<ExperimentScale, ExitCode> {
-    try_scale_from_env().map_err(|e| {
+    EXPERIMENT_SCALE.try_get().map_err(|e| {
         eprintln!("iss {command}: {e}");
         ExitCode::FAILURE
     })
@@ -142,7 +139,7 @@ fn export(args: &[String]) -> ExitCode {
 fn export_jsonl(target: &str, path: Option<&String>) -> ExitCode {
     let result = load(target)
         .and_then(|sweep| {
-            let threads = try_configured_threads()?;
+            let threads = THREADS.try_get()?;
             sweep.run_with_threads(threads)
         })
         .map(|records| render_records_jsonl(&records));
@@ -174,7 +171,7 @@ fn load(target: &str) -> Result<SweepSpec, String> {
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         return SweepSpec::from_toml(&text).map_err(|e| format!("{}: {e}", path.display()));
     }
-    match builtin_sweep(target, try_scale_from_env()?) {
+    match builtin_sweep(target, EXPERIMENT_SCALE.try_get()?) {
         Some(sweep) => Ok(sweep),
         None => Err(format!(
             "`{target}` is neither a readable spec file nor a built-in sweep \
@@ -324,7 +321,7 @@ fn run(args: &[String]) -> ExitCode {
     let threads = match threads {
         Some(n) => n,
         None if frontier => 1,
-        None => match try_configured_threads() {
+        None => match THREADS.try_get() {
             Ok(n) => n,
             Err(e) => {
                 eprintln!("iss run: {e}");
@@ -550,11 +547,11 @@ fn sweep(args: &[String]) -> ExitCode {
     let mut options = match (|| -> Result<ShardOptions, String> {
         let shards = match shards {
             Some(n) => n,
-            None => try_shards_from_env()?,
+            None => SHARDS.try_get()?,
         };
         let mut options = ShardOptions::new(shards.min(points.len().max(1)));
-        options.retries = try_retries_from_env()?;
-        options.job_timeout_ms = try_job_timeout_from_env()?;
+        options.retries = SHARD_RETRIES.try_get()?;
+        options.job_timeout_ms = JOB_TIMEOUT_MS.try_get()?;
         Ok(options)
     })() {
         Ok(options) => options,

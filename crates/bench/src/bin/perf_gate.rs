@@ -26,27 +26,14 @@
 
 use std::process::ExitCode;
 
-use iss_bench::gates::{
-    diff_kernels, diff_perf, parse_perf_kernels, parse_perf_models, parse_reference_kernel,
-};
+use iss_bench::gates::{diff_kernels, diff_perf, parse_perf_file, PerfFile};
 
 const DEFAULT_BASELINE: &str = "ci/BENCH_baseline.json";
 const DEFAULT_FRESH: &str = "BENCH_interval.json";
 
-type PerfFile = (
-    Vec<iss_bench::gates::ModelMips>,
-    Vec<iss_bench::gates::KernelMops>,
-    Option<f64>,
-);
-
-fn read_models(path: &str) -> Result<PerfFile, String> {
+fn read_perf_file(path: &str) -> Result<PerfFile, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let models = parse_perf_models(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-    Ok((
-        models,
-        parse_perf_kernels(&text),
-        parse_reference_kernel(&text),
-    ))
+    parse_perf_file(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -70,20 +57,20 @@ fn main() -> ExitCode {
     let baseline_path = paths.first().map_or(DEFAULT_BASELINE, String::as_str);
     let fresh_path = paths.get(1).map_or(DEFAULT_FRESH, String::as_str);
 
-    let ((baseline, baseline_kernels, baseline_ref), (fresh, fresh_kernels, fresh_ref)) =
-        match (read_models(baseline_path), read_models(fresh_path)) {
-            (Ok(b), Ok(f)) => (b, f),
-            (b, f) => {
-                for r in [b.err(), f.err()].into_iter().flatten() {
-                    eprintln!("perf gate: {r}");
-                }
-                return ExitCode::FAILURE;
+    let (baseline, fresh) = match (read_perf_file(baseline_path), read_perf_file(fresh_path)) {
+        (Ok(b), Ok(f)) => (b, f),
+        (b, f) => {
+            for r in [b.err(), f.err()].into_iter().flatten() {
+                eprintln!("perf gate: {r}");
             }
-        };
+            return ExitCode::FAILURE;
+        }
+    };
+    let (baseline_ref, fresh_ref) = (baseline.reference_kernel_mops, fresh.reference_kernel_mops);
     println!(
         "perf gate: {} baseline model(s) from {baseline_path}, fresh run {fresh_path}, \
          max regression {:.0}%",
-        baseline.len(),
+        baseline.models.len(),
         max_regression * 100.0
     );
     match (baseline_ref, fresh_ref) {
@@ -93,8 +80,9 @@ fn main() -> ExitCode {
         ),
         _ => println!("  no reference kernel in both files — comparing raw MIPS"),
     }
-    for f in &fresh {
+    for f in &fresh.models {
         let base = baseline
+            .models
             .iter()
             .find(|b| b.model == f.model)
             .map_or(f64::NAN, |b| b.simulated_mips);
@@ -103,11 +91,12 @@ fn main() -> ExitCode {
             f.model, f.simulated_mips, base
         );
     }
-    if baseline_kernels.is_empty() {
+    if baseline.kernels.is_empty() {
         println!("  no kernel floors in the baseline — refresh it to start pinning them");
     }
-    for f in &fresh_kernels {
-        let base = baseline_kernels
+    for f in &fresh.kernels {
+        let base = baseline
+            .kernels
             .iter()
             .find(|b| b.kernel == f.kernel)
             .map_or(f64::NAN, |b| b.mops);
@@ -116,10 +105,16 @@ fn main() -> ExitCode {
             f.kernel, f.mops, base
         );
     }
-    let mut violations = diff_perf(&baseline, &fresh, baseline_ref, fresh_ref, max_regression);
+    let mut violations = diff_perf(
+        &baseline.models,
+        &fresh.models,
+        baseline_ref,
+        fresh_ref,
+        max_regression,
+    );
     violations.extend(diff_kernels(
-        &baseline_kernels,
-        &fresh_kernels,
+        &baseline.kernels,
+        &fresh.kernels,
         baseline_ref,
         fresh_ref,
         max_regression,

@@ -15,18 +15,18 @@
 //!   this gate tolerates a generous margin (default 25%) rather than an
 //!   exact match.
 //!
-//! The vendored `serde` is a no-op marker with no serializer backend, so
-//! both files are written and parsed by the hand-rolled line-oriented
-//! JSON subset in this module: one object per line inside the `rows` /
-//! `models` arrays, string fields as `"key": "value"`, numbers as
-//! `"key": 1.25`. The parsers are pure functions over text so the gate
-//! logic — including "injected drift must fail" — is unit-tested directly.
+//! Both files are rendered by hand (one object per line inside the `rows` /
+//! `models` arrays, so diffs stay readable) and read back through
+//! [`iss_sim::jsonval`], the workspace's one JSON reader. The parsers are
+//! pure functions over text so the gate logic — including "injected drift
+//! must fail" — is unit-tested directly.
 
 use std::fmt::Write as _;
 
 use iss_sim::experiments::{
     self, default_hybrid_policies, default_sampling_specs, ExperimentScale, Fig4Variant,
 };
+use iss_sim::jsonval::{self, Json};
 use iss_sim::report;
 use iss_sim::Record;
 
@@ -54,24 +54,32 @@ pub struct GoldenAccuracy {
     pub rows: Vec<GoldenRow>,
 }
 
-/// Extracts `"key": "value"` from a JSON-subset line.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":");
-    let rest = &line[line.find(&marker)? + marker.len()..];
-    let open = rest.find('"')?;
-    let rest = &rest[open + 1..];
-    let close = rest.find('"')?;
-    Some(rest[..close].to_string())
+/// The error for a golden file with no readable rows.
+const NO_ROWS: &str =
+    "golden file contains no rows — truncated or malformed; regenerate with `accuracy_gate --write`";
+
+/// Checks that `doc`'s `schema` field is exactly `schema`.
+fn check_schema(doc: &Json, schema: &str) -> Result<(), String> {
+    if doc.get("schema").and_then(Json::as_str) == Some(schema) {
+        Ok(())
+    } else {
+        Err(format!("not an {schema} file"))
+    }
 }
 
-/// Extracts `"key": <number>` from a JSON-subset line.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let rest = line[line.find(&marker)? + marker.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The elements of `doc`'s `key` array; absent (or not an array) is empty.
+fn array<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
+    doc.get(key).and_then(Json::as_arr).unwrap_or_default()
+}
+
+/// `row`'s string field `key`.
+fn text_field(row: &Json, key: &str) -> Option<String> {
+    row.get(key).and_then(Json::as_str).map(str::to_string)
+}
+
+/// `row`'s number field `key`.
+fn num_field(row: &Json, key: &str) -> Option<f64> {
+    row.get(key).and_then(Json::as_f64)
 }
 
 /// Renders a golden-accuracy file.
@@ -94,8 +102,8 @@ pub fn render_golden_accuracy(
         let _ = writeln!(
             j,
             "    {{\"figure\": \"{}\", \"benchmark\": \"{}\", \"error\": {:.6}}}{}",
-            r.figure,
-            r.benchmark,
+            jsonval::escape(&r.figure),
+            jsonval::escape(&r.benchmark),
             r.error,
             if i + 1 < rows.len() { "," } else { "" }
         );
@@ -108,44 +116,39 @@ pub fn render_golden_accuracy(
 ///
 /// # Errors
 ///
-/// Returns a message when the schema marker or any required field is
-/// missing or malformed.
+/// Returns a message when the text is not JSON (reported as a truncated
+/// file with no rows), or when the schema marker or any required field is
+/// missing or malformed. The scale fields must be non-negative integers.
 pub fn parse_golden_accuracy(text: &str) -> Result<GoldenAccuracy, String> {
-    if !text.contains("iss-accuracy-golden/v1") {
-        return Err("not an iss-accuracy-golden/v1 file".to_string());
-    }
-    let mut scale = None;
-    let mut tolerance = None;
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if trimmed.contains("\"spec_length\"") {
-            scale = Some(ExperimentScale {
-                spec_length: field_num(trimmed, "spec_length")
-                    .ok_or("malformed scale: spec_length")? as u64,
-                parsec_length: field_num(trimmed, "parsec_length")
-                    .ok_or("malformed scale: parsec_length")? as u64,
-                seed: field_num(trimmed, "seed").ok_or("malformed scale: seed")? as u64,
-            });
-        } else if trimmed.starts_with("\"tolerance\"") {
-            tolerance = field_num(trimmed, "tolerance");
-        } else if trimmed.contains("\"figure\"") {
-            rows.push(GoldenRow {
-                figure: field_str(trimmed, "figure").ok_or("malformed row: figure")?,
-                benchmark: field_str(trimmed, "benchmark").ok_or("malformed row: benchmark")?,
-                error: field_num(trimmed, "error").ok_or("malformed row: error")?,
-            });
-        }
-    }
+    let doc = jsonval::parse(text).map_err(|e| format!("{NO_ROWS} ({e})"))?;
+    check_schema(&doc, "iss-accuracy-golden/v1")?;
+    let rows = array(&doc, "rows")
+        .iter()
+        .map(|r| {
+            Ok(GoldenRow {
+                figure: text_field(r, "figure").ok_or("malformed row: figure")?,
+                benchmark: text_field(r, "benchmark").ok_or("malformed row: benchmark")?,
+                error: num_field(r, "error").ok_or("malformed row: error")?,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     if rows.is_empty() {
-        return Err(
-            "golden file contains no rows — truncated or malformed; regenerate with `accuracy_gate --write`"
-                .to_string(),
-        );
+        return Err(NO_ROWS.to_string());
     }
+    let scale = doc.get("scale").ok_or("missing scale")?;
+    let scale_field = |key: &str| {
+        scale
+            .get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("malformed scale: {key}"))
+    };
     Ok(GoldenAccuracy {
-        scale: scale.ok_or("missing scale")?,
-        tolerance: tolerance.ok_or("missing tolerance")?,
+        scale: ExperimentScale {
+            spec_length: scale_field("spec_length")?,
+            parsec_length: scale_field("parsec_length")?,
+            seed: scale_field("seed")?,
+        },
+        tolerance: num_field(&doc, "tolerance").ok_or("missing tolerance")?,
         rows,
     })
 }
@@ -297,41 +300,59 @@ pub struct ModelMips {
     pub simulated_mips: f64,
 }
 
-/// Parses the `reference_kernel_mops` entry of a perf file: the throughput
-/// of the fixed host-speed calibration kernel, or `None` for files written
-/// before the kernel existed.
-#[must_use]
-pub fn parse_reference_kernel(text: &str) -> Option<f64> {
-    text.lines()
-        .find(|l| l.contains("\"reference_kernel_mops\""))
-        .and_then(|l| field_num(l, "reference_kernel_mops"))
-        .filter(|&m| m > 0.0)
+/// A parsed `perf` output file (`BENCH_interval.json`, or the committed
+/// baseline).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerfFile {
+    /// The `models` rows; never empty.
+    pub models: Vec<ModelMips>,
+    /// The `kernels` rows. Files written before the kernel rows existed
+    /// have none; the empty list is the back-compat signal
+    /// [`diff_kernels`] keys on.
+    pub kernels: Vec<KernelMops>,
+    /// Throughput of the fixed host-speed calibration kernel
+    /// (`reference_kernel_mops`), or `None` for files written before the
+    /// kernel existed and for non-positive values.
+    pub reference_kernel_mops: Option<f64>,
 }
 
-/// Parses the `models` entries of a `BENCH_interval.json` perf file.
+/// Parses a perf file.
 ///
 /// # Errors
 ///
-/// Returns a message when the schema marker is missing or no model entry
-/// parses.
-pub fn parse_perf_models(text: &str) -> Result<Vec<ModelMips>, String> {
-    if !text.contains("iss-bench-perf/v1") {
-        return Err("not an iss-bench-perf/v1 file".to_string());
-    }
-    let models: Vec<ModelMips> = text
-        .lines()
-        .filter(|l| l.contains("\"model\"") && l.contains("\"simulated_mips\""))
-        .filter_map(|l| {
-            Some(ModelMips {
-                model: field_str(l, "model")?,
-                simulated_mips: field_num(l, "simulated_mips")?,
+/// Returns a message when the text is not JSON, the schema marker is
+/// missing, a model or kernel row lacks its name or number, or there is no
+/// model row.
+pub fn parse_perf_file(text: &str) -> Result<PerfFile, String> {
+    let doc = jsonval::parse(text)?;
+    check_schema(&doc, "iss-bench-perf/v1")?;
+    let models = array(&doc, "models")
+        .iter()
+        .map(|m| {
+            Ok(ModelMips {
+                model: text_field(m, "model").ok_or("malformed model row: model")?,
+                simulated_mips: num_field(m, "simulated_mips")
+                    .ok_or("malformed model row: simulated_mips")?,
             })
         })
-        .collect();
+        .collect::<Result<Vec<_>, String>>()?;
     if models.is_empty() {
         return Err("no model entries found in perf file".to_string());
     }
-    Ok(models)
+    let kernels = array(&doc, "kernels")
+        .iter()
+        .map(|k| {
+            Ok(KernelMops {
+                kernel: text_field(k, "kernel").ok_or("malformed kernel row: kernel")?,
+                mops: num_field(k, "mops").ok_or("malformed kernel row: mops")?,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(PerfFile {
+        models,
+        kernels,
+        reference_kernel_mops: num_field(&doc, "reference_kernel_mops").filter(|&m| m > 0.0),
+    })
 }
 
 /// Diffs a fresh perf run against the committed baseline. A model regresses
@@ -420,22 +441,6 @@ pub struct KernelMops {
     pub kernel: String,
     /// Million kernel operations per host second.
     pub mops: f64,
-}
-
-/// Parses the `kernels` entries of a perf file. Files written before the
-/// kernel rows existed have none; the empty list is the back-compat signal
-/// [`diff_kernels`] keys on.
-#[must_use]
-pub fn parse_perf_kernels(text: &str) -> Vec<KernelMops> {
-    text.lines()
-        .filter(|l| l.contains("\"kernel\"") && l.contains("\"mops\""))
-        .filter_map(|l| {
-            Some(KernelMops {
-                kernel: field_str(l, "kernel")?,
-                mops: field_num(l, "mops")?,
-            })
-        })
-        .collect()
 }
 
 /// Diffs a fresh run's kernel throughputs against the committed baseline,
@@ -530,13 +535,15 @@ mod tests {
 
     #[test]
     fn golden_file_round_trips_through_render_and_parse() {
-        let g = golden();
+        let mut g = golden();
+        g.rows[1].benchmark = "a \"quoted\\name\"".into();
         let text = render_golden_accuracy(g.scale, g.tolerance, &g.rows);
         let parsed = parse_golden_accuracy(&text).unwrap();
         assert_eq!(parsed.scale, g.scale);
         assert!((parsed.tolerance - g.tolerance).abs() < 1e-9);
         assert_eq!(parsed.rows.len(), 2);
         assert_eq!(parsed.rows[0].figure, "fig5");
+        assert_eq!(parsed.rows[1].benchmark, g.rows[1].benchmark);
         assert!((parsed.rows[1].error - 0.031).abs() < 1e-6);
     }
 
@@ -595,6 +602,37 @@ mod tests {
     }
 
     #[test]
+    fn golden_scale_must_be_non_negative_integers() {
+        let g = golden();
+        let full = render_golden_accuracy(g.scale, g.tolerance, &g.rows);
+        let spec = format!("\"spec_length\": {}", g.scale.spec_length);
+        for bad in ["-5", "2.7", "\"20000\""] {
+            let text = full.replace(&spec, &format!("\"spec_length\": {bad}"));
+            let err = parse_golden_accuracy(&text).unwrap_err();
+            assert_eq!(err, "malformed scale: spec_length", "{bad}");
+        }
+    }
+
+    #[test]
+    fn the_schema_field_must_match_exactly() {
+        let g = golden();
+        let full = render_golden_accuracy(g.scale, g.tolerance, &g.rows);
+        // The marker elsewhere in the text (here, a figure name) is not
+        // the schema.
+        let renamed = full
+            .replace("iss-accuracy-golden/v1\"", "other/v1\"")
+            .replace("\"fig5\"", "\"iss-accuracy-golden/v1\"");
+        let err = parse_golden_accuracy(&renamed).unwrap_err();
+        assert!(
+            err.contains("not an iss-accuracy-golden/v1 file"),
+            "got: {err}"
+        );
+        let perf = perf_text("").replace("iss-bench-perf/v1", "iss-bench-perf/v2");
+        let err = parse_perf_file(&perf).unwrap_err();
+        assert!(err.contains("not an iss-bench-perf/v1 file"), "got: {err}");
+    }
+
+    #[test]
     fn empty_golden_baseline_fails_the_accuracy_gate() {
         let empty = GoldenAccuracy {
             scale: ExperimentScale::quick(),
@@ -626,7 +664,7 @@ mod tests {
                     \"host_seconds\": 0.021, \"simulated_mips\": 5.71},\n    \
                     {\"model\": \"detailed\", \"instructions\": 120000, \
                     \"host_seconds\": 0.134, \"simulated_mips\": 0.89}\n  ]\n}\n";
-        let models = parse_perf_models(text).unwrap();
+        let models = parse_perf_file(text).unwrap().models;
         assert_eq!(models.len(), 2);
         assert_eq!(models[0].model, "interval");
         assert!((models[1].simulated_mips - 0.89).abs() < 1e-9);
@@ -693,15 +731,26 @@ mod tests {
         assert!(violations[0].contains("vacuously"), "got: {violations:?}");
     }
 
+    /// A minimal perf file: the schema, `extra` fields and one model row.
+    fn perf_text(extra: &str) -> String {
+        format!(
+            "{{\n  \"schema\": \"iss-bench-perf/v1\",\n{extra}  \"models\": [\n    \
+             {{\"model\": \"interval\", \"simulated_mips\": 5.0}}\n  ]\n}}\n"
+        )
+    }
+
+    fn reference_kernel(text: &str) -> Option<f64> {
+        parse_perf_file(text).unwrap().reference_kernel_mops
+    }
+
     #[test]
     fn reference_kernel_parses_and_rejects_degenerate_values() {
-        let text = "{\n  \"schema\": \"iss-bench-perf/v1\",\n  \
-                    \"reference_kernel_mops\": 812.503,\n}\n";
-        let mops = parse_reference_kernel(text).unwrap();
+        let text = perf_text("  \"reference_kernel_mops\": 812.503,\n");
+        let mops = reference_kernel(&text).unwrap();
         assert!((mops - 812.503).abs() < 1e-9);
-        assert_eq!(parse_reference_kernel("{\"schema\": \"x\"}"), None);
-        let zero = "{\n  \"reference_kernel_mops\": 0.000,\n}\n";
-        assert_eq!(parse_reference_kernel(zero), None);
+        assert_eq!(reference_kernel(&perf_text("")), None);
+        let zero = perf_text("  \"reference_kernel_mops\": 0.000,\n");
+        assert_eq!(reference_kernel(&zero), None);
     }
 
     #[test]
@@ -736,17 +785,19 @@ mod tests {
 
     #[test]
     fn perf_file_parses_kernel_rows_and_tolerates_their_absence() {
-        let text = "{\n  \"schema\": \"iss-bench-perf/v1\",\n  \"kernels\": [\n    \
-                    {\"kernel\": \"tag_compare\", \"ops\": 2996000, \
-                    \"host_seconds\": 0.009, \"mops\": 351.2},\n    \
-                    {\"kernel\": \"tlb_access_batch\", \"ops\": 2996000, \
-                    \"host_seconds\": 0.017, \"mops\": 176.4}\n  ]\n}\n";
-        let kernels = parse_perf_kernels(text);
+        let text = perf_text(
+            "  \"kernels\": [\n    \
+             {\"kernel\": \"tag_compare\", \"ops\": 2996000, \
+             \"host_seconds\": 0.009, \"mops\": 351.2},\n    \
+             {\"kernel\": \"tlb_access_batch\", \"ops\": 2996000, \
+             \"host_seconds\": 0.017, \"mops\": 176.4}\n  ],\n",
+        );
+        let kernels = parse_perf_file(&text).unwrap().kernels;
         assert_eq!(kernels.len(), 2);
         assert_eq!(kernels[0].kernel, "tag_compare");
         assert!((kernels[1].mops - 176.4).abs() < 1e-9);
         // Pre-kernel files simply have no rows — not a parse error.
-        assert!(parse_perf_kernels("{\n  \"schema\": \"iss-bench-perf/v1\"\n}\n").is_empty());
+        assert!(parse_perf_file(&perf_text("")).unwrap().kernels.is_empty());
     }
 
     #[test]

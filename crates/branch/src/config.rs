@@ -1,9 +1,7 @@
 //! Branch predictor configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Which conditional-direction predictor the front-end uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirectionPredictorKind {
     /// All predictions are correct — used by the component-isolation
     /// experiments of Figure 4 ("the branch predictor is perfect").
@@ -20,7 +18,7 @@ pub enum DirectionPredictorKind {
 }
 
 /// Configuration of the complete branch prediction front-end of one core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchPredictorConfig {
     /// Direction predictor kind.
     pub kind: DirectionPredictorKind,

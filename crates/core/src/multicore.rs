@@ -8,8 +8,6 @@
 //! with the multi-core time, which makes the core-level simulation
 //! event-driven while keeping the shared-resource simulation cycle-ordered.
 
-use serde::{Deserialize, Serialize};
-
 use iss_branch::{BranchPredictorConfig, BranchStats};
 use iss_mem::{MemoryConfig, MemoryHierarchy, MemoryStats};
 use iss_trace::host_time::HostTimer;
@@ -20,7 +18,7 @@ use crate::core_model::IntervalCore;
 use crate::stats::CoreResult;
 
 /// Result of a complete interval-simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntervalSimResult {
     /// Multi-core simulated cycles until the last core finished.
     pub cycles: u64,

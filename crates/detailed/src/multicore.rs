@@ -8,8 +8,6 @@
 
 use iss_trace::host_time::HostTimer;
 
-use serde::{Deserialize, Serialize};
-
 use iss_branch::{BranchPredictorConfig, BranchStats, BranchUnit};
 use iss_mem::{MemoryConfig, MemoryHierarchy, MemoryStats};
 use iss_trace::{InstructionStream, SyncController, SyntheticStream, ThreadedWorkload};
@@ -20,7 +18,7 @@ use crate::oo_core::OutOfOrderCore;
 use crate::stats::DetailedCoreResult;
 
 /// Result of a detailed (or one-IPC) multi-core simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetailedSimResult {
     /// Cycles until the last core finished.
     pub cycles: u64,

@@ -115,6 +115,14 @@ fn gate_fails_on_a_seeded_wall_clock_read() {
 }
 
 #[test]
+fn gate_fails_on_a_seeded_environment_read() {
+    // Knobs are read only through the `iss_sim::env` table.
+    let src = "//! fixture\n/// f\npub fn f() -> bool {\n    \
+               std::env::var(\"ISS_THREADS\").is_ok()\n}\n";
+    assert_fails_with("env-var", src, "disallowed_methods");
+}
+
+#[test]
 fn gate_fails_on_a_seeded_f32_narrowing() {
     let src = "//! fixture\n/// f\npub fn f(x: f64) -> f64 {\n    f64::from(x as f32)\n}\n";
     assert_fails_with("as-f32", src, "disallowed_types");

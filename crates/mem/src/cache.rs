@@ -4,14 +4,12 @@
 //! and the shared L2. Coherence *protocol* decisions live in
 //! [`crate::hierarchy`]; this module only stores and updates per-line state.
 
-use serde::{Deserialize, Serialize};
-
 /// MOESI coherence state of a cache line.
 ///
 /// The L1 instruction caches and the L2 only use a subset of the states
 /// (instruction lines are never written), but sharing one enum keeps the
 /// machinery uniform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LineState {
     /// Modified: exclusive and dirty.
     Modified,
@@ -47,7 +45,7 @@ impl LineState {
 }
 
 /// Geometry of one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,

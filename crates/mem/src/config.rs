@@ -1,7 +1,5 @@
 //! Memory-hierarchy configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CacheConfig;
 use crate::dram::DramConfig;
 use crate::tlb::TlbConfig;
@@ -9,7 +7,7 @@ use crate::tlb::TlbConfig;
 /// Configuration of the full memory hierarchy of a simulated chip
 /// multiprocessor: per-core L1 instruction/data caches and TLBs, an optional
 /// shared L2, the coherence interconnect and the DRAM channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryConfig {
     /// Number of cores sharing the hierarchy.
     pub num_cores: usize,

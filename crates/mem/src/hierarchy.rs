@@ -13,8 +13,6 @@
 //! classification; the detailed model uses exactly the same calls, which is
 //! what makes the two timing models comparable.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{Cache, LineState};
 use crate::config::MemoryConfig;
 use crate::dram::DramModel;
@@ -22,7 +20,7 @@ use crate::stats::{CoreMemoryStats, MemoryStats};
 use crate::tlb::Tlb;
 
 /// Where an access was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessLevel {
     /// Hit in the core's private L1 (or the access was configured perfect).
     L1,
@@ -77,7 +75,7 @@ impl AccessResponse {
 /// model swap transfers the *full* hierarchy state (the incoming model keeps
 /// every resident line and translation); this summary is the cheap
 /// observable that reports and swap-policy diagnostics read.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarmthSummary {
     /// Mean valid-line fraction of the per-core L1 instruction caches.
     pub l1i: f64,

@@ -1,9 +1,7 @@
 //! Memory-hierarchy statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-core cache and TLB statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreMemoryStats {
     /// L1 instruction cache hits.
     pub l1i_hits: u64,
@@ -80,7 +78,7 @@ fn per_kilo(count: u64, instructions: u64) -> f64 {
 }
 
 /// Hierarchy-wide statistics: per-core counters plus shared-resource totals.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemoryStats {
     /// One entry per core.
     pub per_core: Vec<CoreMemoryStats>,

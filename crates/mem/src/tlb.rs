@@ -6,10 +6,8 @@
 //! load. The TLB is modeled as a fully-associative LRU cache of page
 //! translations with a fixed page-walk penalty.
 
-use serde::{Deserialize, Serialize};
-
 /// TLB geometry and timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Number of entries.
     pub entries: usize,

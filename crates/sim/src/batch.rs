@@ -172,10 +172,6 @@ impl std::fmt::Display for JobFailure {
 
 impl std::error::Error for JobFailure {}
 
-// Strict `ISS_THREADS` parsing lives in the shared [`crate::env`] module;
-// re-exported here because the worker count is this module's contract.
-pub use crate::env::{configured_threads, parse_thread_count};
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -249,10 +245,10 @@ pub fn try_run_batch_with_threads(
     results
 }
 
-/// [`try_run_batch_with_threads`] with the [`configured_threads`] worker
+/// [`try_run_batch_with_threads`] with the [`crate::env::THREADS`] worker
 /// count.
 pub fn try_run_batch(jobs: &[SimJob]) -> Vec<Result<SimSummary, JobFailure>> {
-    try_run_batch_with_threads(jobs, configured_threads())
+    try_run_batch_with_threads(jobs, crate::env::THREADS.get())
 }
 
 /// Runs every job on `threads` workers and returns the summaries in job
@@ -270,7 +266,7 @@ pub fn run_batch_with_threads(jobs: &[SimJob], threads: usize) -> Vec<SimSummary
         .collect()
 }
 
-/// Runs every job on the [`configured_threads`] worker count (`ISS_THREADS`,
+/// Runs every job on the [`crate::env::THREADS`] worker count (`ISS_THREADS`,
 /// default: available parallelism) and returns the summaries in job order.
 ///
 /// This is the entry point every experiment driver routes through.
@@ -281,7 +277,7 @@ pub fn run_batch_with_threads(jobs: &[SimJob], threads: usize) -> Vec<SimSummary
 /// batch completed.
 #[must_use]
 pub fn run_batch(jobs: &[SimJob]) -> Vec<SimSummary> {
-    run_batch_with_threads(jobs, configured_threads())
+    run_batch_with_threads(jobs, crate::env::THREADS.get())
 }
 
 #[cfg(test)]
@@ -376,7 +372,7 @@ mod tests {
 
     #[test]
     fn configured_threads_is_positive() {
-        assert!(configured_threads() >= 1);
+        assert!(crate::env::THREADS.get() >= 1);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Whole-system configuration.
 
-use serde::{Deserialize, Serialize};
-
 use iss_branch::BranchPredictorConfig;
 use iss_detailed::DetailedCoreConfig;
 use iss_interval::IntervalCoreConfig;
@@ -10,7 +8,7 @@ use iss_mem::MemoryConfig;
 /// Complete configuration of a simulated chip multiprocessor: the analytical
 /// core model parameters, the detailed core parameters, the branch predictor
 /// and the memory hierarchy. The defaults reproduce Table 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Interval (analytical) core model parameters.
     pub interval_core: IntervalCoreConfig,

@@ -1,549 +1,285 @@
-//! Strict environment-variable parsing shared by every binary.
+//! The knob table: every `ISS_*` environment variable the workspace reads.
 //!
-//! Every knob the simulator reads from the environment goes through this
-//! module, with one common failure contract: an unset variable (or the
-//! empty string) selects a documented default, and **anything else must
-//! parse exactly** — typos, zeros and overflows are rejected with a loud
-//! error naming the variable, the offending value and the escape hatch,
-//! never silently mapped to a default. A typo like `ISS_EXPERIMENT_SCALE=ful`
-//! must not quietly turn a "full" accuracy run into a quick one, and
-//! `ISS_THREADS=0` must not quietly benchmark at the wrong concurrency.
-//!
-//! The variables currently covered:
-//!
-//! * `ISS_THREADS` — batch-engine worker count ([`parse_thread_count`],
-//!   [`configured_threads`]).
-//! * `ISS_EXPERIMENT_SCALE` — experiment instruction budget
-//!   ([`parse_scale`], [`scale_from_env`]).
-//! * `ISS_SHARDS` — sharded-sweep child process count
-//!   ([`parse_shard_count`], [`try_shards_from_env`]).
-//! * `ISS_SHARD_RETRIES` — retry budget per shard before bisection
-//!   ([`parse_retry_limit`], [`try_retries_from_env`]).
-//! * `ISS_JOB_TIMEOUT_MS` — per-job progress deadline for child shards
-//!   ([`parse_job_timeout_ms`], [`try_job_timeout_from_env`]).
-//! * `ISS_FAULT_INJECT` — deterministic fault injection for the
-//!   crash-recovery tests ([`parse_fault_spec`], [`try_fault_from_env`]).
-//! * `ISS_SERVE_WORKERS` — `iss serve` simulation worker pool size
-//!   ([`parse_serve_workers`], [`try_serve_workers_from_env`]).
-//! * `ISS_CACHE_DIR` — `iss serve` result-store directory
-//!   ([`cache_dir_from_env`]).
-//! * `ISS_CACHE_MAX_MB` — result-store size bound in MiB
-//!   ([`parse_cache_max_mb`], [`try_cache_max_mb_from_env`]).
+//! Each knob is one [`Knob`] constant below, and [`TABLE`] lists them in
+//! the order the README documents them. They share one contract,
+//! implemented once in [`Knob::parse`]: an unset or blank variable selects
+//! the documented default, and **anything else must parse exactly** —
+//! typos, zeros and overflows fail loudly, naming the variable, the value
+//! and the escape hatch, never silently mapped to a default (a typo like
+//! `ISS_EXPERIMENT_SCALE=ful` must not quietly turn a "full" accuracy run
+//! into a quick one). [`Knob::try_get`] returns the error for callers with
+//! an error channel (the scenario engine, the `iss` CLI); [`Knob::get`]
+//! panics with it. The private reader here is the workspace's only
+//! `std::env::var` call (`clippy.toml` disallows any other).
+
+use std::path::PathBuf;
+use std::str::FromStr;
 
 use crate::experiments::ExperimentScale;
+use crate::shard::{FaultKind, FaultSpec};
 
-/// The common loud-failure error shape of this module: names the variable,
-/// what it accepts, the offending value, and how to get the default back.
-#[must_use]
-pub fn reject(var: &str, expected: &str, got: &str, escape: &str) -> String {
-    format!("{var} must be {expected}, got `{got}` ({escape})")
+/// One environment knob: its variable, error text, default and parser.
+pub struct Knob<T> {
+    /// The variable name.
+    pub(crate) name: &'static str,
+    /// What a set value must be, as the error message words it.
+    pub(crate) expected: &'static str,
+    /// How to get the default back, as the error message words it.
+    pub(crate) escape: &'static str,
+    /// The value of an unset or blank variable.
+    pub(crate) default: fn() -> T,
+    /// Parses a set, non-blank value as read (the path knobs keep
+    /// surrounding whitespace; every other parser trims it). `Err` carries
+    /// the offending text the error message quotes.
+    pub(crate) value: fn(&str) -> Result<T, String>,
 }
 
-/// Parses an `ISS_THREADS` value into a worker count.
-///
-/// `None` (variable unset) and the empty string select the default (the
-/// host's available parallelism). Anything else must be a positive integer:
-/// `0` and non-numeric values are **rejected** rather than silently falling
-/// back to the default.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a positive
-/// integer.
-pub fn parse_thread_count(value: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = value else {
-        return Ok(default_threads());
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(default_threads());
+impl<T> Knob<T> {
+    /// Parses a value of this knob: `None` (unset) and blank strings give
+    /// the default, anything else goes through the knob's parser.
+    ///
+    /// # Errors
+    ///
+    /// Returns "`NAME` must be *expected*, got \`*value*\` (*escape*)"
+    /// when the value does not parse.
+    pub fn parse(&self, value: Option<&str>) -> Result<T, String> {
+        match value {
+            Some(raw) if !raw.trim().is_empty() => (self.value)(raw).map_err(|got| {
+                format!(
+                    "{} must be {}, got `{got}` ({})",
+                    self.name, self.expected, self.escape
+                )
+            }),
+            _ => Ok((self.default)()),
+        }
     }
-    let escape = "unset the variable to use the host's available parallelism";
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(reject("ISS_THREADS", "a positive integer", "0", escape)),
+
+    /// Reads and parses the variable from the process environment.
+    ///
+    /// # Errors
+    ///
+    /// As [`Knob::parse`]: a set value that does not parse.
+    pub fn try_get(&self) -> Result<T, String> {
+        self.parse(read(self.name).as_deref())
+    }
+
+    /// [`Knob::try_get`] for binaries with no error channel of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`Knob::parse`] message when the value is malformed,
+    /// instead of silently running with the default.
+    #[must_use]
+    pub fn get(&self) -> T {
+        self.try_get().unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the knob table is the workspace's one environment reader"
+)]
+fn read(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
+/// A worker count: a positive integer, default the host's parallelism.
+const fn workers(name: &'static str) -> Knob<usize> {
+    Knob {
+        name,
+        expected: "a positive integer",
+        escape: "unset the variable to use the host's available parallelism",
+        default: || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        value: positive,
+    }
+}
+
+/// A positive integer; `0` is quoted as `0` whatever its spelling.
+fn positive<N: FromStr + PartialEq + From<u8>>(raw: &str) -> Result<N, String> {
+    let s = raw.trim();
+    match s.parse::<N>() {
+        Ok(n) if n == N::from(0) => Err("0".to_string()),
         Ok(n) => Ok(n),
-        Err(_) => Err(reject("ISS_THREADS", "a positive integer", trimmed, escape)),
+        Err(_) => Err(s.to_string()),
     }
 }
 
-/// Worker count used by the batch engine: the `ISS_THREADS` environment
-/// variable when set to a positive integer, otherwise the host's available
-/// parallelism (1 if that cannot be determined).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when `ISS_THREADS` is set
-/// to `0` or to a non-numeric value (see [`parse_thread_count`]) — the
-/// typed-error path for callers that can surface the message themselves
-/// (the scenario engine, the `iss` CLI).
-pub fn try_configured_threads() -> Result<usize, String> {
-    let value = std::env::var("ISS_THREADS").ok();
-    parse_thread_count(value.as_deref())
-}
+/// `ISS_THREADS` — batch-engine worker count of every driver; simulated
+/// rows do not depend on it. Default: the host's available parallelism.
+pub const THREADS: Knob<usize> = workers("ISS_THREADS");
 
-/// Panicking convenience over [`try_configured_threads`] for binaries with
-/// no error channel of their own.
-///
-/// # Panics
-///
-/// Panics with a clear message when `ISS_THREADS` is set to `0` or to a
-/// non-numeric value (see [`parse_thread_count`]).
-#[must_use]
-pub fn configured_threads() -> usize {
-    try_configured_threads().unwrap_or_else(|e| panic!("{e}"))
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Parses an `ISS_EXPERIMENT_SCALE` value into an [`ExperimentScale`].
-///
-/// `None` (variable unset) and the empty string select `quick`. Anything
-/// else must be `quick`, `full` (case-insensitive) or a positive integer
-/// instruction count per SPEC benchmark (PARSEC workloads get twice that
-/// budget, saturating instead of overflowing). Unknown strings, `0`,
-/// negative and overflowing numbers are **rejected** rather than silently
-/// falling back to `quick`.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is neither a known
-/// keyword nor a positive integer.
-pub fn parse_scale(value: Option<&str>) -> Result<ExperimentScale, String> {
-    let Some(raw) = value else {
-        return Ok(ExperimentScale::quick());
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(ExperimentScale::quick());
-    }
-    if trimmed.eq_ignore_ascii_case("quick") {
-        return Ok(ExperimentScale::quick());
-    }
-    if trimmed.eq_ignore_ascii_case("full") {
-        return Ok(ExperimentScale::full());
-    }
-    let expected = "`quick`, `full`, or a positive instruction count";
-    let escape = "unset the variable to run at quick scale";
-    match trimmed.parse::<u64>() {
-        Ok(0) => Err(reject("ISS_EXPERIMENT_SCALE", expected, "0", escape)),
-        Ok(n) => Ok(ExperimentScale {
+/// `ISS_EXPERIMENT_SCALE` — instruction budget per benchmark: `quick`
+/// (default), `full` (case-insensitive) or a positive instruction count
+/// per SPEC benchmark (PARSEC workloads get twice that, saturating).
+pub const EXPERIMENT_SCALE: Knob<ExperimentScale> = Knob {
+    name: "ISS_EXPERIMENT_SCALE",
+    expected: "`quick`, `full`, or a positive instruction count",
+    escape: "unset the variable to run at quick scale",
+    default: ExperimentScale::quick,
+    value: |raw| match raw.trim() {
+        s if s.eq_ignore_ascii_case("quick") => Ok(ExperimentScale::quick()),
+        s if s.eq_ignore_ascii_case("full") => Ok(ExperimentScale::full()),
+        s => positive::<u64>(s).map(|n| ExperimentScale {
             spec_length: n,
             parsec_length: n.saturating_mul(2),
             seed: 42,
         }),
-        Err(_) => Err(reject("ISS_EXPERIMENT_SCALE", expected, trimmed, escape)),
-    }
-}
+    },
+};
 
-/// Reads the experiment scale from `ISS_EXPERIMENT_SCALE` (see
-/// [`parse_scale`] for the accepted values) — the typed-error path for
-/// callers that can surface the message themselves.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to an unknown keyword, `0`, or a non-positive/overflowing number.
-pub fn try_scale_from_env() -> Result<ExperimentScale, String> {
-    let value = std::env::var("ISS_EXPERIMENT_SCALE").ok();
-    parse_scale(value.as_deref())
-}
+/// `ISS_BENCH_OUT` — output path of the `perf` binary (a positional
+/// argument overrides it); default `BENCH_interval.json`.
+pub const BENCH_OUT: Knob<PathBuf> = Knob {
+    name: "ISS_BENCH_OUT",
+    expected: "a file path",
+    escape: "unset the variable to write BENCH_interval.json",
+    default: || PathBuf::from("BENCH_interval.json"),
+    value: |raw| Ok(PathBuf::from(raw)),
+};
 
-/// Panicking convenience over [`try_scale_from_env`] for binaries with no
-/// error channel of their own.
-///
-/// # Panics
-///
-/// Panics with a clear message when the variable is set to an unknown
-/// keyword, `0`, or a non-positive/overflowing number, instead of silently
-/// running at the wrong scale.
-#[must_use]
-pub fn scale_from_env() -> ExperimentScale {
-    try_scale_from_env().unwrap_or_else(|e| panic!("{e}"))
-}
+/// `ISS_SAMPLING_TRACE` — any non-blank value prints a per-run phase
+/// breakdown (restore/measure/extract/warm wall-clock) of sampled runs on
+/// stderr; default off.
+pub const SAMPLING_TRACE: Knob<bool> = Knob {
+    name: "ISS_SAMPLING_TRACE",
+    expected: "any non-blank value",
+    escape: "unset the variable to turn the trace off",
+    default: || false,
+    value: |_| Ok(true),
+};
 
-/// Parses an `ISS_SHARDS` value into a sharded-sweep child process count.
-///
-/// `None` (variable unset) and the empty string select the default (the
-/// host's available parallelism). Anything else must be a positive integer;
-/// `0` and garbage are **rejected** — a sweep silently collapsing to one
-/// shard would hide the fault-containment the operator asked for.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a positive
-/// integer.
-pub fn parse_shard_count(value: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = value else {
-        return Ok(default_threads());
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(default_threads());
-    }
-    let escape = "unset the variable to use the host's available parallelism";
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(reject("ISS_SHARDS", "a positive integer", "0", escape)),
-        Ok(n) => Ok(n),
-        Err(_) => Err(reject("ISS_SHARDS", "a positive integer", trimmed, escape)),
-    }
-}
+/// `ISS_SHARDS` — child-process count of `iss sweep` (the `--shards` flag
+/// overrides it). Default: the host's available parallelism.
+pub const SHARDS: Knob<usize> = workers("ISS_SHARDS");
 
-/// Reads the sharded-sweep child process count from `ISS_SHARDS` (see
-/// [`parse_shard_count`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to `0` or to a non-numeric value.
-pub fn try_shards_from_env() -> Result<usize, String> {
-    let value = std::env::var("ISS_SHARDS").ok();
-    parse_shard_count(value.as_deref())
-}
+/// `ISS_SHARD_RETRIES` — re-dispatches of a failed shard before the
+/// supervisor bisects its job list. A non-negative `u32` (`0` = bisect
+/// immediately); default 2.
+pub const SHARD_RETRIES: Knob<u32> = Knob {
+    name: "ISS_SHARD_RETRIES",
+    expected: "a non-negative integer (u32)",
+    escape: "unset the variable to use the default of 2 retries",
+    default: || 2,
+    value: |raw| raw.trim().parse().map_err(|_| raw.trim().to_string()),
+};
 
-/// Default retry budget per shard before the supervisor starts bisecting
-/// its job list (see [`parse_retry_limit`]).
-pub const DEFAULT_SHARD_RETRIES: u32 = 2;
+/// `ISS_JOB_TIMEOUT_MS` — per-shard progress deadline of `iss sweep`, in
+/// milliseconds: a silent child is killed and its jobs retried. Positive
+/// (`0` would kill every child at once); default 120000.
+pub const JOB_TIMEOUT_MS: Knob<u64> = Knob {
+    name: "ISS_JOB_TIMEOUT_MS",
+    expected: "a positive integer of milliseconds",
+    escape: "unset the variable to use the default of 120000 ms",
+    default: || 120_000,
+    value: positive,
+};
 
-/// Parses an `ISS_SHARD_RETRIES` value into a retry budget.
-///
-/// `None` (variable unset) and the empty string select
-/// [`DEFAULT_SHARD_RETRIES`]. Anything else must be a non-negative integer
-/// (`0` is meaningful: fail straight to bisection); garbage and numbers
-/// overflowing `u32` are **rejected** rather than silently capped.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a
-/// non-negative integer fitting in `u32`.
-pub fn parse_retry_limit(value: Option<&str>) -> Result<u32, String> {
-    let Some(raw) = value else {
-        return Ok(DEFAULT_SHARD_RETRIES);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(DEFAULT_SHARD_RETRIES);
-    }
-    let escape = "unset the variable to use the default of 2 retries";
-    trimmed.parse::<u32>().map_err(|_| {
-        reject(
-            "ISS_SHARD_RETRIES",
-            "a non-negative integer (u32)",
-            trimmed,
-            escape,
-        )
-    })
-}
+/// `ISS_FAULT_INJECT` — deterministic fault injection for the
+/// crash-recovery tests: `<kind>:<job>` ([`FaultSpec`]); default none. A
+/// typo silently disabling injection would turn those tests into no-ops.
+pub const FAULT_INJECT: Knob<Option<FaultSpec>> = Knob {
+    name: "ISS_FAULT_INJECT",
+    expected: "`panic:<job>`, `exit:<job>` or `stall:<job>`",
+    escape: "unset the variable to disable fault injection",
+    default: || None,
+    value: |raw| {
+        let s = raw.trim();
+        let (kind, job) = match s.split_once(':') {
+            Some(("panic", job)) => (FaultKind::Panic, job),
+            Some(("exit", job)) => (FaultKind::Exit, job),
+            Some(("stall", job)) => (FaultKind::Stall, job),
+            _ => return Err(s.to_string()),
+        };
+        let job = job.parse().map_err(|_| s.to_string())?;
+        Ok(Some(FaultSpec { kind, job }))
+    },
+};
 
-/// Reads the per-shard retry budget from `ISS_SHARD_RETRIES` (see
-/// [`parse_retry_limit`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to anything but a non-negative integer fitting in `u32`.
-pub fn try_retries_from_env() -> Result<u32, String> {
-    let value = std::env::var("ISS_SHARD_RETRIES").ok();
-    parse_retry_limit(value.as_deref())
-}
+/// `ISS_SERVE_WORKERS` — simulation worker-pool size of `iss serve` (the
+/// `--workers` flag overrides it). Default: the host's available parallelism.
+pub const SERVE_WORKERS: Knob<usize> = workers("ISS_SERVE_WORKERS");
 
-/// Default per-job progress deadline for child shards, in milliseconds
-/// (see [`parse_job_timeout_ms`]).
-pub const DEFAULT_JOB_TIMEOUT_MS: u64 = 120_000;
+/// `ISS_CACHE_DIR` — result-store directory of `iss serve` (the
+/// `--cache-dir` flag overrides it), taken verbatim; default `.iss-cache`
+/// relative to the server's working directory.
+pub const CACHE_DIR: Knob<PathBuf> = Knob {
+    name: "ISS_CACHE_DIR",
+    expected: "a directory path",
+    escape: "unset the variable to use .iss-cache",
+    default: || PathBuf::from(".iss-cache"),
+    value: |raw| Ok(PathBuf::from(raw)),
+};
 
-/// Parses an `ISS_JOB_TIMEOUT_MS` value into a per-job progress deadline.
-///
-/// `None` (variable unset) and the empty string select
-/// [`DEFAULT_JOB_TIMEOUT_MS`]. Anything else must be a positive integer
-/// number of milliseconds: `0` would kill every child instantly and is
-/// **rejected**, as are garbage and overflowing values.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a positive
-/// integer.
-pub fn parse_job_timeout_ms(value: Option<&str>) -> Result<u64, String> {
-    let Some(raw) = value else {
-        return Ok(DEFAULT_JOB_TIMEOUT_MS);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(DEFAULT_JOB_TIMEOUT_MS);
-    }
-    let escape = "unset the variable to use the default of 120000 ms";
-    match trimmed.parse::<u64>() {
-        Ok(0) => Err(reject(
-            "ISS_JOB_TIMEOUT_MS",
-            "a positive integer of milliseconds",
-            "0",
-            escape,
-        )),
-        Ok(n) => Ok(n),
-        Err(_) => Err(reject(
-            "ISS_JOB_TIMEOUT_MS",
-            "a positive integer of milliseconds",
-            trimmed,
-            escape,
-        )),
-    }
-}
+/// `ISS_CACHE_MAX_MB` — result-store size bound in MiB (the
+/// `--cache-max-mb` flag overrides it). A positive integer whose byte count
+/// fits in `u64` (`0` would evict the store to nothing); default 512.
+pub const CACHE_MAX_MB: Knob<u64> = Knob {
+    name: "ISS_CACHE_MAX_MB",
+    expected: "a positive integer of MiB",
+    escape: "unset the variable to use the default of 512 MiB",
+    default: || 512,
+    value: |raw| match positive::<u64>(raw)? {
+        mib if mib.checked_mul(1024 * 1024).is_some() => Ok(mib),
+        _ => Err(raw.trim().to_string()),
+    },
+};
 
-/// Reads the per-job progress deadline from `ISS_JOB_TIMEOUT_MS` (see
-/// [`parse_job_timeout_ms`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to `0` or to a non-numeric/overflowing value.
-pub fn try_job_timeout_from_env() -> Result<u64, String> {
-    let value = std::env::var("ISS_JOB_TIMEOUT_MS").ok();
-    parse_job_timeout_ms(value.as_deref())
-}
+/// A knob's [`Knob::parse`] with the parsed value dropped.
+pub type Check = fn(Option<&str>) -> Result<(), String>;
 
-/// The way an injected fault takes a child shard down (see
-/// [`parse_fault_spec`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Panic before simulating the job (child exits with the panic status).
-    Panic,
-    /// `std::process::exit(17)` before simulating the job.
-    Exit,
-    /// Sleep forever before simulating the job, to trip the progress
-    /// deadline.
-    Stall,
-}
-
-impl FaultKind {
-    /// The spec keyword for this kind.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Panic => "panic",
-            FaultKind::Exit => "exit",
-            FaultKind::Stall => "stall",
-        }
-    }
-}
-
-/// A deterministic fault to inject into child shards: take down the shard
-/// the moment it is about to simulate global job index [`FaultSpec::job`].
-///
-/// Encoded as `<kind>:<job>` (e.g. `panic:3`, `exit:0`, `stall:2`) in the
-/// `ISS_FAULT_INJECT` variable. The supervisor forwards the variable to
-/// every child it spawns, so the selected job is *permanently* poisoned:
-/// retries keep failing, bisection isolates it, and the sweep must finish
-/// with exactly that job quarantined — the end-to-end recovery path the
-/// crash tests assert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// How the child dies.
-    pub kind: FaultKind,
-    /// Global (expansion-order) index of the job whose start triggers the
-    /// fault.
-    pub job: usize,
-}
-
-/// Parses an `ISS_FAULT_INJECT` value into an optional [`FaultSpec`].
-///
-/// `None` (variable unset) and the empty string mean no injection.
-/// Anything else must be exactly `<kind>:<job>` with `kind` one of
-/// `panic`, `exit`, `stall` and `job` a non-negative integer; anything
-/// else is **rejected** — a typo silently disabling injection would turn
-/// the crash-recovery tests into no-ops.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value for malformed specs.
-pub fn parse_fault_spec(value: Option<&str>) -> Result<Option<FaultSpec>, String> {
-    let Some(raw) = value else {
-        return Ok(None);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    let expected = "`panic:<job>`, `exit:<job>` or `stall:<job>`";
-    let escape = "unset the variable to disable fault injection";
-    let Some((kind_raw, job_raw)) = trimmed.split_once(':') else {
-        return Err(reject("ISS_FAULT_INJECT", expected, trimmed, escape));
-    };
-    let kind = match kind_raw {
-        "panic" => FaultKind::Panic,
-        "exit" => FaultKind::Exit,
-        "stall" => FaultKind::Stall,
-        _ => return Err(reject("ISS_FAULT_INJECT", expected, trimmed, escape)),
-    };
-    let job = job_raw
-        .parse::<usize>()
-        .map_err(|_| reject("ISS_FAULT_INJECT", expected, trimmed, escape))?;
-    Ok(Some(FaultSpec { kind, job }))
-}
-
-/// Reads the fault-injection spec from `ISS_FAULT_INJECT` (see
-/// [`parse_fault_spec`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value for malformed specs.
-pub fn try_fault_from_env() -> Result<Option<FaultSpec>, String> {
-    let value = std::env::var("ISS_FAULT_INJECT").ok();
-    parse_fault_spec(value.as_deref())
-}
-
-/// Parses an `ISS_SERVE_WORKERS` value into the `iss serve` simulation
-/// worker pool size.
-///
-/// `None` (variable unset) and the empty string select the default (the
-/// host's available parallelism). Anything else must be a positive
-/// integer: `0` workers would deadlock every request and is **rejected**,
-/// as is garbage — a typo must not silently change the server's
-/// concurrency.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a positive
-/// integer.
-pub fn parse_serve_workers(value: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = value else {
-        return Ok(default_threads());
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(default_threads());
-    }
-    let escape = "unset the variable to use the host's available parallelism";
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(reject(
-            "ISS_SERVE_WORKERS",
-            "a positive integer",
-            "0",
-            escape,
-        )),
-        Ok(n) => Ok(n),
-        Err(_) => Err(reject(
-            "ISS_SERVE_WORKERS",
-            "a positive integer",
-            trimmed,
-            escape,
-        )),
-    }
-}
-
-/// Reads the `iss serve` worker pool size from `ISS_SERVE_WORKERS` (see
-/// [`parse_serve_workers`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to `0` or to a non-numeric value.
-pub fn try_serve_workers_from_env() -> Result<usize, String> {
-    let value = std::env::var("ISS_SERVE_WORKERS").ok();
-    parse_serve_workers(value.as_deref())
-}
-
-/// Default result-store directory when `ISS_CACHE_DIR` is unset.
-pub const DEFAULT_CACHE_DIR: &str = ".iss-cache";
-
-/// Reads the result-store directory from `ISS_CACHE_DIR`.
-///
-/// Unlike the numeric knobs this one cannot fail: any non-empty string is
-/// a path, and an unset or empty variable selects
-/// [`DEFAULT_CACHE_DIR`] relative to the server's working directory.
-#[must_use]
-pub fn cache_dir_from_env() -> std::path::PathBuf {
-    match std::env::var("ISS_CACHE_DIR") {
-        Ok(dir) if !dir.trim().is_empty() => std::path::PathBuf::from(dir),
-        _ => std::path::PathBuf::from(DEFAULT_CACHE_DIR),
-    }
-}
-
-/// Default result-store size bound in MiB (see [`parse_cache_max_mb`]).
-pub const DEFAULT_CACHE_MAX_MB: u64 = 512;
-
-/// Parses an `ISS_CACHE_MAX_MB` value into the result-store size bound in
-/// MiB.
-///
-/// `None` (variable unset) and the empty string select
-/// [`DEFAULT_CACHE_MAX_MB`]. Anything else must be a positive integer
-/// whose byte count fits in `u64`: `0` would evict the store to nothing
-/// and is **rejected**, as are garbage and overflowing values — a typo
-/// must not silently change the store's retention.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a positive
-/// integer with an in-range byte count.
-pub fn parse_cache_max_mb(value: Option<&str>) -> Result<u64, String> {
-    let Some(raw) = value else {
-        return Ok(DEFAULT_CACHE_MAX_MB);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(DEFAULT_CACHE_MAX_MB);
-    }
-    let expected = "a positive integer of MiB";
-    let escape = "unset the variable to use the default of 512 MiB";
-    match trimmed.parse::<u64>() {
-        Ok(0) => Err(reject("ISS_CACHE_MAX_MB", expected, "0", escape)),
-        Ok(n) if n.checked_mul(1024 * 1024).is_none() => {
-            Err(reject("ISS_CACHE_MAX_MB", expected, trimmed, escape))
-        }
-        Ok(n) => Ok(n),
-        Err(_) => Err(reject("ISS_CACHE_MAX_MB", expected, trimmed, escape)),
-    }
-}
-
-/// Reads the result-store size bound from `ISS_CACHE_MAX_MB` (see
-/// [`parse_cache_max_mb`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to `0`, garbage, or a value whose byte count overflows `u64`.
-pub fn try_cache_max_mb_from_env() -> Result<u64, String> {
-    let value = std::env::var("ISS_CACHE_MAX_MB").ok();
-    parse_cache_max_mb(value.as_deref())
-}
+/// Every knob in documentation order, as `(name, check)` rows.
+pub const TABLE: [(&str, Check); 11] = [
+    (THREADS.name, |v| THREADS.parse(v).map(drop)),
+    (EXPERIMENT_SCALE.name, |v| {
+        EXPERIMENT_SCALE.parse(v).map(drop)
+    }),
+    (BENCH_OUT.name, |v| BENCH_OUT.parse(v).map(drop)),
+    (SAMPLING_TRACE.name, |v| SAMPLING_TRACE.parse(v).map(drop)),
+    (SHARDS.name, |v| SHARDS.parse(v).map(drop)),
+    (SHARD_RETRIES.name, |v| SHARD_RETRIES.parse(v).map(drop)),
+    (JOB_TIMEOUT_MS.name, |v| JOB_TIMEOUT_MS.parse(v).map(drop)),
+    (FAULT_INJECT.name, |v| FAULT_INJECT.parse(v).map(drop)),
+    (SERVE_WORKERS.name, |v| SERVE_WORKERS.parse(v).map(drop)),
+    (CACHE_DIR.name, |v| CACHE_DIR.parse(v).map(drop)),
+    (CACHE_MAX_MB.name, |v| CACHE_MAX_MB.parse(v).map(drop)),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn fault(kind: FaultKind, job: usize) -> Result<Option<FaultSpec>, String> {
+        Ok(Some(FaultSpec { kind, job }))
+    }
+
     #[test]
     fn thread_parsing_accepts_positive_integers_and_unset() {
-        assert_eq!(parse_thread_count(Some("3")), Ok(3));
-        assert_eq!(parse_thread_count(Some(" 8 ")), Ok(8));
-        assert!(parse_thread_count(None).unwrap() >= 1);
-        assert!(parse_thread_count(Some("")).unwrap() >= 1);
+        assert_eq!(THREADS.parse(Some("3")), Ok(3));
+        assert_eq!(THREADS.parse(Some(" 8 ")), Ok(8));
+        assert!(THREADS.parse(None).unwrap() >= 1);
+        assert!(THREADS.parse(Some("")).unwrap() >= 1);
     }
 
     #[test]
     fn thread_parsing_rejects_zero_and_garbage_loudly() {
-        let zero = parse_thread_count(Some("0")).unwrap_err();
+        let zero = THREADS.parse(Some("0")).unwrap_err();
         assert!(zero.contains("`0`"), "got: {zero}");
-        let junk = parse_thread_count(Some("four")).unwrap_err();
+        let junk = THREADS.parse(Some("four")).unwrap_err();
         assert!(junk.contains("`four`"), "got: {junk}");
-        let negative = parse_thread_count(Some("-2")).unwrap_err();
+        let negative = THREADS.parse(Some("-2")).unwrap_err();
         assert!(negative.contains("`-2`"), "got: {negative}");
     }
 
     #[test]
     fn scale_parsing_accepts_keywords_numbers_and_unset() {
-        assert_eq!(parse_scale(None).unwrap(), ExperimentScale::quick());
-        assert_eq!(parse_scale(Some("")).unwrap(), ExperimentScale::quick());
-        assert_eq!(parse_scale(Some("  ")).unwrap(), ExperimentScale::quick());
-        assert_eq!(
-            parse_scale(Some("quick")).unwrap(),
-            ExperimentScale::quick()
-        );
-        assert_eq!(
-            parse_scale(Some("QUICK")).unwrap(),
-            ExperimentScale::quick()
-        );
-        assert_eq!(parse_scale(Some("full")).unwrap(), ExperimentScale::full());
-        assert_eq!(parse_scale(Some("Full")).unwrap(), ExperimentScale::full());
-        let custom = parse_scale(Some(" 50000 ")).unwrap();
+        let quick = Ok(ExperimentScale::quick());
+        for v in [None, Some(""), Some("  "), Some("quick"), Some("QUICK")] {
+            assert_eq!(EXPERIMENT_SCALE.parse(v), quick, "{v:?}");
+        }
+        let full = Ok(ExperimentScale::full());
+        assert_eq!(EXPERIMENT_SCALE.parse(Some("full")), full);
+        assert_eq!(EXPERIMENT_SCALE.parse(Some("Full")), full);
+        let custom = EXPERIMENT_SCALE.parse(Some(" 50000 ")).unwrap();
         assert_eq!(custom.spec_length, 50_000);
         assert_eq!(custom.parsec_length, 100_000);
         assert_eq!(custom.seed, 42);
@@ -551,7 +287,7 @@ mod tests {
 
     #[test]
     fn scale_parsing_saturates_the_parsec_budget() {
-        let huge = parse_scale(Some(&u64::MAX.to_string())).unwrap();
+        let huge = EXPERIMENT_SCALE.parse(Some(&u64::MAX.to_string())).unwrap();
         assert_eq!(huge.spec_length, u64::MAX);
         assert_eq!(huge.parsec_length, u64::MAX, "must saturate, not overflow");
     }
@@ -559,82 +295,75 @@ mod tests {
     #[test]
     fn scale_parsing_rejects_typos_zero_and_bad_numbers_loudly() {
         // The motivating bug: `ful` used to silently select quick scale.
-        let typo = parse_scale(Some("ful")).unwrap_err();
-        assert!(typo.contains("`ful`"), "got: {typo}");
-        let zero = parse_scale(Some("0")).unwrap_err();
-        assert!(zero.contains("`0`"), "got: {zero}");
-        let negative = parse_scale(Some("-5")).unwrap_err();
-        assert!(negative.contains("`-5`"), "got: {negative}");
-        let overflow = parse_scale(Some("99999999999999999999999")).unwrap_err();
-        assert!(
-            overflow.contains("99999999999999999999999"),
-            "got: {overflow}"
-        );
-        let junk = parse_scale(Some("fast")).unwrap_err();
-        assert!(junk.contains("`fast`"), "got: {junk}");
+        for bad in ["ful", "0", "-5", "99999999999999999999999", "fast"] {
+            let err = EXPERIMENT_SCALE.parse(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "got: {err}");
+        }
     }
 
     #[test]
     fn shard_parsing_accepts_positive_integers_and_unset() {
-        assert_eq!(parse_shard_count(Some("4")), Ok(4));
-        assert_eq!(parse_shard_count(Some(" 2 ")), Ok(2));
-        assert!(parse_shard_count(None).unwrap() >= 1);
-        assert!(parse_shard_count(Some("")).unwrap() >= 1);
+        assert_eq!(SHARDS.parse(Some("4")), Ok(4));
+        assert_eq!(SHARDS.parse(Some(" 2 ")), Ok(2));
+        assert!(SHARDS.parse(None).unwrap() >= 1);
+        assert!(SHARDS.parse(Some("")).unwrap() >= 1);
     }
 
     #[test]
     fn shard_parsing_rejects_zero_and_garbage_loudly() {
-        let zero = parse_shard_count(Some("0")).unwrap_err();
+        let zero = SHARDS.parse(Some("0")).unwrap_err();
         assert!(
             zero.contains("ISS_SHARDS") && zero.contains("`0`"),
             "got: {zero}"
         );
-        let junk = parse_shard_count(Some("two")).unwrap_err();
+        let junk = SHARDS.parse(Some("two")).unwrap_err();
         assert!(junk.contains("`two`"), "got: {junk}");
     }
 
     #[test]
     fn retry_parsing_accepts_zero_and_defaults_when_unset() {
-        assert_eq!(parse_retry_limit(None), Ok(DEFAULT_SHARD_RETRIES));
-        assert_eq!(parse_retry_limit(Some("")), Ok(DEFAULT_SHARD_RETRIES));
+        assert_eq!(SHARD_RETRIES.parse(None), Ok(2));
+        assert_eq!(SHARD_RETRIES.parse(Some("")), Ok(2));
         assert_eq!(
-            parse_retry_limit(Some("0")),
+            SHARD_RETRIES.parse(Some("0")),
             Ok(0),
             "0 = straight to bisection"
         );
-        assert_eq!(parse_retry_limit(Some(" 5 ")), Ok(5));
+        assert_eq!(SHARD_RETRIES.parse(Some(" 5 ")), Ok(5));
     }
 
     #[test]
     fn retry_parsing_rejects_garbage_and_overflow_loudly() {
-        let junk = parse_retry_limit(Some("lots")).unwrap_err();
+        let junk = SHARD_RETRIES.parse(Some("lots")).unwrap_err();
         assert!(
             junk.contains("ISS_SHARD_RETRIES") && junk.contains("`lots`"),
             "got: {junk}"
         );
-        let negative = parse_retry_limit(Some("-1")).unwrap_err();
+        let negative = SHARD_RETRIES.parse(Some("-1")).unwrap_err();
         assert!(negative.contains("`-1`"), "got: {negative}");
-        let overflow = parse_retry_limit(Some("4294967296")).unwrap_err();
+        let overflow = SHARD_RETRIES.parse(Some("4294967296")).unwrap_err();
         assert!(overflow.contains("`4294967296`"), "got: {overflow}");
     }
 
     #[test]
     fn timeout_parsing_accepts_positive_ms_and_defaults_when_unset() {
-        assert_eq!(parse_job_timeout_ms(None), Ok(DEFAULT_JOB_TIMEOUT_MS));
-        assert_eq!(parse_job_timeout_ms(Some("")), Ok(DEFAULT_JOB_TIMEOUT_MS));
-        assert_eq!(parse_job_timeout_ms(Some("300")), Ok(300));
+        assert_eq!(JOB_TIMEOUT_MS.parse(None), Ok(120_000));
+        assert_eq!(JOB_TIMEOUT_MS.parse(Some("")), Ok(120_000));
+        assert_eq!(JOB_TIMEOUT_MS.parse(Some("300")), Ok(300));
     }
 
     #[test]
     fn timeout_parsing_rejects_zero_garbage_and_overflow_loudly() {
-        let zero = parse_job_timeout_ms(Some("0")).unwrap_err();
+        let zero = JOB_TIMEOUT_MS.parse(Some("0")).unwrap_err();
         assert!(
             zero.contains("ISS_JOB_TIMEOUT_MS") && zero.contains("`0`"),
             "got: {zero}"
         );
-        let junk = parse_job_timeout_ms(Some("1s")).unwrap_err();
+        let junk = JOB_TIMEOUT_MS.parse(Some("1s")).unwrap_err();
         assert!(junk.contains("`1s`"), "got: {junk}");
-        let overflow = parse_job_timeout_ms(Some("99999999999999999999999")).unwrap_err();
+        let overflow = JOB_TIMEOUT_MS
+            .parse(Some("99999999999999999999999"))
+            .unwrap_err();
         assert!(
             overflow.contains("99999999999999999999999"),
             "got: {overflow}"
@@ -643,28 +372,19 @@ mod tests {
 
     #[test]
     fn fault_parsing_accepts_every_kind_and_none_when_unset() {
-        assert_eq!(parse_fault_spec(None), Ok(None));
-        assert_eq!(parse_fault_spec(Some("")), Ok(None));
+        assert_eq!(FAULT_INJECT.parse(None), Ok(None));
+        assert_eq!(FAULT_INJECT.parse(Some("")), Ok(None));
         assert_eq!(
-            parse_fault_spec(Some("panic:3")),
-            Ok(Some(FaultSpec {
-                kind: FaultKind::Panic,
-                job: 3
-            }))
+            FAULT_INJECT.parse(Some("panic:3")),
+            fault(FaultKind::Panic, 3)
         );
         assert_eq!(
-            parse_fault_spec(Some("exit:0")),
-            Ok(Some(FaultSpec {
-                kind: FaultKind::Exit,
-                job: 0
-            }))
+            FAULT_INJECT.parse(Some("exit:0")),
+            fault(FaultKind::Exit, 0)
         );
         assert_eq!(
-            parse_fault_spec(Some(" stall:2 ")),
-            Ok(Some(FaultSpec {
-                kind: FaultKind::Stall,
-                job: 2
-            }))
+            FAULT_INJECT.parse(Some(" stall:2 ")),
+            fault(FaultKind::Stall, 2)
         );
     }
 
@@ -678,7 +398,7 @@ mod tests {
             "panic:-1",
             "3:panic",
         ] {
-            let err = parse_fault_spec(Some(bad)).unwrap_err();
+            let err = FAULT_INJECT.parse(Some(bad)).unwrap_err();
             assert!(err.contains("ISS_FAULT_INJECT"), "`{bad}` got: {err}");
             assert!(err.contains(bad.trim()), "`{bad}` got: {err}");
         }
@@ -686,41 +406,43 @@ mod tests {
 
     #[test]
     fn serve_worker_parsing_accepts_positive_integers_and_unset() {
-        assert_eq!(parse_serve_workers(Some("4")), Ok(4));
-        assert_eq!(parse_serve_workers(Some(" 2 ")), Ok(2));
-        assert!(parse_serve_workers(None).unwrap() >= 1);
-        assert!(parse_serve_workers(Some("")).unwrap() >= 1);
+        assert_eq!(SERVE_WORKERS.parse(Some("4")), Ok(4));
+        assert_eq!(SERVE_WORKERS.parse(Some(" 2 ")), Ok(2));
+        assert!(SERVE_WORKERS.parse(None).unwrap() >= 1);
+        assert!(SERVE_WORKERS.parse(Some("")).unwrap() >= 1);
     }
 
     #[test]
     fn serve_worker_parsing_rejects_zero_and_garbage_loudly() {
-        let zero = parse_serve_workers(Some("0")).unwrap_err();
+        let zero = SERVE_WORKERS.parse(Some("0")).unwrap_err();
         assert!(
             zero.contains("ISS_SERVE_WORKERS") && zero.contains("`0`"),
             "got: {zero}"
         );
-        let junk = parse_serve_workers(Some("many")).unwrap_err();
+        let junk = SERVE_WORKERS.parse(Some("many")).unwrap_err();
         assert!(junk.contains("`many`"), "got: {junk}");
     }
 
     #[test]
     fn cache_size_parsing_accepts_positive_mib_and_defaults_when_unset() {
-        assert_eq!(parse_cache_max_mb(None), Ok(DEFAULT_CACHE_MAX_MB));
-        assert_eq!(parse_cache_max_mb(Some("")), Ok(DEFAULT_CACHE_MAX_MB));
-        assert_eq!(parse_cache_max_mb(Some(" 64 ")), Ok(64));
+        assert_eq!(CACHE_MAX_MB.parse(None), Ok(512));
+        assert_eq!(CACHE_MAX_MB.parse(Some("")), Ok(512));
+        assert_eq!(CACHE_MAX_MB.parse(Some(" 64 ")), Ok(64));
     }
 
     #[test]
     fn cache_size_parsing_rejects_zero_garbage_and_overflow_loudly() {
-        let zero = parse_cache_max_mb(Some("0")).unwrap_err();
+        let zero = CACHE_MAX_MB.parse(Some("0")).unwrap_err();
         assert!(
             zero.contains("ISS_CACHE_MAX_MB") && zero.contains("`0`"),
             "got: {zero}"
         );
-        let junk = parse_cache_max_mb(Some("big")).unwrap_err();
+        let junk = CACHE_MAX_MB.parse(Some("big")).unwrap_err();
         assert!(junk.contains("`big`"), "got: {junk}");
         // Parses as u64, but the byte count would overflow.
-        let overflow = parse_cache_max_mb(Some("18446744073709551615")).unwrap_err();
+        let overflow = CACHE_MAX_MB
+            .parse(Some("18446744073709551615"))
+            .unwrap_err();
         assert!(
             overflow.contains("`18446744073709551615`"),
             "got: {overflow}"
@@ -728,21 +450,56 @@ mod tests {
     }
 
     #[test]
+    fn paths_are_verbatim_and_blank_means_the_default() {
+        let dir = CACHE_DIR.parse(Some(" /tmp/a b ")).unwrap();
+        assert_eq!(
+            dir,
+            PathBuf::from(" /tmp/a b "),
+            "the path keeps its spaces"
+        );
+        assert_eq!(CACHE_DIR.parse(Some("  ")), Ok(PathBuf::from(".iss-cache")));
+        assert_eq!(
+            BENCH_OUT.parse(Some("")),
+            Ok(PathBuf::from("BENCH_interval.json"))
+        );
+        assert_eq!(
+            BENCH_OUT.parse(Some("out.json")),
+            Ok(PathBuf::from("out.json"))
+        );
+        assert_eq!(SAMPLING_TRACE.parse(None), Ok(false));
+        assert_eq!(SAMPLING_TRACE.parse(Some("")), Ok(false));
+        assert_eq!(
+            SAMPLING_TRACE.parse(Some("0")),
+            Ok(true),
+            "any value turns it on"
+        );
+    }
+
+    #[test]
     fn all_variables_share_the_error_shape() {
-        let threads = parse_thread_count(Some("nope")).unwrap_err();
-        let scale = parse_scale(Some("nope")).unwrap_err();
-        let shards = parse_shard_count(Some("nope")).unwrap_err();
-        let retries = parse_retry_limit(Some("nope")).unwrap_err();
-        let timeout = parse_job_timeout_ms(Some("nope")).unwrap_err();
-        let fault = parse_fault_spec(Some("nope")).unwrap_err();
-        let workers = parse_serve_workers(Some("nope")).unwrap_err();
-        let cache = parse_cache_max_mb(Some("nope")).unwrap_err();
-        for e in [
-            &threads, &scale, &shards, &retries, &timeout, &fault, &workers, &cache,
-        ] {
+        // Eight knobs reject garbage; the path and flag knobs take any text.
+        let errors: Vec<String> = TABLE
+            .iter()
+            .filter_map(|(_, check)| check(Some("nope")).err())
+            .collect();
+        assert_eq!(errors.len(), 8, "{errors:?}");
+        for e in &errors {
             assert!(e.contains("must be"), "got: {e}");
             assert!(e.contains("`nope`"), "got: {e}");
             assert!(e.contains("unset the variable"), "got: {e}");
         }
+    }
+
+    #[test]
+    fn the_table_lists_each_iss_variable_once_in_readme_order() {
+        let names: Vec<&str> = TABLE.iter().map(|(name, _)| *name).collect();
+        let readme = include_str!("../../../README.md");
+        let documented: Vec<&str> = readme
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `ISS_"))
+            .filter_map(|l| l.split('`').next())
+            .collect();
+        let names: Vec<&str> = names.iter().map(|n| &n["ISS_".len()..]).collect();
+        assert_eq!(documented, names);
     }
 }

@@ -18,8 +18,6 @@
 //! run on a single worker so their speedup columns are not contaminated
 //! by host contention between concurrent jobs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hybrid::HybridSpec;
 use crate::runner::{BaseModel, CoreModel};
 use crate::sampling::SamplingSpec;
@@ -27,7 +25,7 @@ use crate::scenario::{MachineSpec, Record, ScenarioSpec, SweepSpec, Template};
 use crate::workload::WorkloadSpec;
 
 /// Instruction budget and seed for an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentScale {
     /// Instructions per SPEC program (per core for multi-program workloads).
     pub spec_length: u64,
@@ -66,7 +64,7 @@ impl Default for ExperimentScale {
 }
 
 /// The four component-isolation experiments of Figure 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fig4Variant {
     /// (a) Effective dispatch rate: perfect branch predictor, I-side and L2.
     EffectiveDispatchRate,

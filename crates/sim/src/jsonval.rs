@@ -1,9 +1,9 @@
 //! Minimal JSON reader for the sweep wire formats.
 //!
-//! The vendored `serde` is a no-op marker, so the record formats the
-//! sharded sweep machinery exchanges — the child→supervisor JSONL pipe
-//! protocol, the write-ahead checkpoint file, and the `--json`/`--jsonl`
-//! exports — are parsed by this hand-rolled reader instead. It covers the
+//! The workspace has no serialization framework, so every JSON document it
+//! reads goes through this hand-rolled reader: the child→supervisor JSONL
+//! pipe protocol, the write-ahead checkpoint file, the `--json`/`--jsonl`
+//! exports, `iss serve` request lines and the CI gate files. It covers the
 //! JSON subset those formats emit (objects, arrays, strings with escapes,
 //! numbers, booleans, `null`), is strict about everything else, and keeps
 //! numbers as their raw source tokens so `u64` quantities (cycle counts)
@@ -95,180 +95,217 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The wire formats nest
+/// three levels at most; the bound keeps hostile input (one `iss serve`
+/// request line of `[[[[…`) from overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 ///
 /// # Errors
 ///
-/// Returns a byte-offset-annotated message on malformed input.
+/// Returns a byte-offset-annotated message on malformed input, including
+/// arrays and objects nested more than 128 deep.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+    let mut p = Parser {
+        text,
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    let value = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Recursive-descent state over one document. `pos` only ever rests on a
+/// UTF-8 boundary: it advances over ASCII syntax or whole string runs.
+struct Parser<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    depth: usize,
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("expected `{word}` at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    // `f64::Display` emits `NaN`, `inf` and `-inf`; accept them so any
-    // float a record can carry survives a round trip.
-    for special in ["NaN", "inf", "-inf"] {
-        if bytes[start..].starts_with(special.as_bytes()) {
-            *pos += special.len();
-            return Ok(Json::Num(special.to_string()));
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let raw = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| format!("invalid UTF-8 in number at byte {start}"))?;
-    if raw.is_empty() || raw.parse::<f64>().is_err() {
-        return Err(format!("malformed number `{raw}` at byte {start}"));
-    }
-    Ok(Json::Num(raw.to_string()))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    // Caller guarantees bytes[*pos] == b'"'.
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".to_string()),
+            Some(b'{') => self.nested(Self::obj),
+            Some(b'[') => self.nested(Self::arr),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.keyword("true", Json::Bool(true)),
+            Some(b'f') => self.keyword("false", Json::Bool(false)),
+            Some(b'n') => self.keyword("null", Json::Null),
+            Some(_) => self.number(),
+        }
+    }
+
+    /// Runs `body` one nesting level down, failing past [`MAX_DEPTH`].
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = body(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(format!("expected `{word}` at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        // `f64::Display` emits `NaN`, `inf` and `-inf`; accept them so any
+        // float a record can carry survives a round trip.
+        for special in ["NaN", "inf", "-inf"] {
+            if self.bytes[start..].starts_with(special.as_bytes()) {
+                self.pos += special.len();
+                return Ok(Json::Num(special.to_string()));
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("truncated \\u escape at byte {}", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                        // The writer only escapes control characters, which
-                        // are never surrogate halves.
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("\\u escape `{hex}` is not a scalar"))?,
-                        );
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
+        }
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
+        }
+        let raw = &self.text[start..self.pos];
+        if raw.is_empty() || raw.parse::<f64>().is_err() {
+            return Err(format!("malformed number `{raw}` at byte {start}"));
+        }
+        Ok(Json::Num(raw.to_string()))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        // Caller guarantees the current byte is the opening quote.
+        self.pos += 1;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (strings may carry any text).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 in string at byte {}", *pos))?;
-                let Some(c) = rest.chars().next() else {
-                    return Err("unterminated string".to_string());
-                };
-                out.push(c);
-                *pos += c.len_utf8();
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let bad = || format!("bad \\u escape at byte {}", self.pos);
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .ok_or_else(bad)?;
+                            // The writer only escapes control characters,
+                            // which are never surrogate halves.
+                            let code = u32::from_str_radix(hex, 16).map_err(|_| bad())?;
+                            out.push(char::from_u32(code).ok_or_else(bad)?);
+                            self.pos += 4;
+                        }
+                        other => return Err(format!("bad escape {other:?}")),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // Copy the whole run up to the next quote or escape:
+                    // both are ASCII, so the run ends on a UTF-8 boundary.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
+                }
             }
         }
     }
-}
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '{'
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
+    fn obj(&mut self) -> Result<Json, String> {
+        self.pos += 1; // consume '{'
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(fields));
         }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at byte {}", *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
+        loop {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return Err(format!("expected object key at byte {}", self.pos));
             }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
+            let key = self.string()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(format!("expected `:` at byte {}", self.pos));
+            }
+            self.pos += 1;
+            let value = self.value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+            }
         }
     }
-}
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
+    fn arr(&mut self) -> Result<Json, String> {
+        self.pos += 1; // consume '['
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
             }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
         }
     }
 }
@@ -338,6 +375,43 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // A 2 MiB stack is the default for spawned threads (and smaller
+        // than a main thread's), so this is the tightest realistic case.
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let deep = parse(&"[".repeat(200_000));
+                let objects = parse(&"{\"a\":".repeat(200_000));
+                let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+                let past_bound = format!("[{at_bound}]");
+                (deep, objects, parse(&at_bound), parse(&past_bound))
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let (deep, objects, at_bound, past_bound) = outcome;
+        assert!(deep.unwrap_err().contains("nesting"));
+        assert!(objects.unwrap_err().contains("nesting"));
+        assert!(at_bound.is_ok(), "{MAX_DEPTH} levels are allowed");
+        assert!(past_bound.unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn long_strings_round_trip() {
+        // 256 KiB of mixed ASCII, escapes and multi-byte characters: the
+        // scan is linear, and every character survives.
+        let unit = "plain \"quoted\" back\\slash\n\t\u{1} snow \u{2603} \u{1F600}";
+        let mut long = String::new();
+        while long.len() < 256 << 10 {
+            long.push_str(unit);
+        }
+        let doc = format!("{{\"s\": \"{}\"}}", escape(&long));
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("s").and_then(Json::as_str), Some(long.as_str()));
+    }
+
+    #[test]
     fn malformed_documents_fail_loudly() {
         for bad in [
             "",
@@ -348,6 +422,9 @@ mod tests {
             "\"unterminated",
             "nope",
             "12abc",
+            "\"\\u+123\"",
+            "\"\\u12\"",
+            "\"\\ud800\"",
         ] {
             assert!(parse(bad).is_err(), "`{bad}` must not parse");
         }

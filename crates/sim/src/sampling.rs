@@ -55,8 +55,6 @@
 
 use iss_trace::host_time::HostTimer;
 
-use serde::{Deserialize, Serialize};
-
 use iss_branch::BranchUnit;
 use iss_mem::MemoryHierarchy;
 use iss_trace::{
@@ -81,7 +79,7 @@ const IFETCH_LINE_SHIFT: u32 = 6;
 pub const DEFAULT_WARM_BATCH: usize = 8 * iss_simd::LANE_WIDTH;
 
 /// Complete description of a sampled run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SamplingSpec {
     /// The timing model that executes the measured units.
     pub measure: BaseModel,
@@ -177,7 +175,7 @@ pub struct SteadyUnitObs {
 /// The statistical output of a sampled run: the exactly measured prefix
 /// plus the steady-state per-unit CPI population, summarized as a whole-run
 /// point estimate with a 95% confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingEstimate {
     /// Sampling units the run was partitioned into (prefix + steady).
     pub units_total: u64,
@@ -736,7 +734,7 @@ pub fn run_sampled_with_batch(
         unit += 1;
     }
 
-    if std::env::var("ISS_SAMPLING_TRACE").is_ok() {
+    if crate::env::SAMPLING_TRACE.get() {
         eprintln!(
             "sampling trace: restore {:.1}ms measure {:.1}ms extract {:.1}ms warm {:.1}ms",
             t_restore * 1e3,

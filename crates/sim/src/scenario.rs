@@ -48,18 +48,15 @@ pub use machine::{MachineBaseline, MachineOverrides, MachineSpec};
 pub use modelspec::{parse_base_model, parse_model};
 pub use record::{fnv1a_hex, Record};
 
-use serde::{Deserialize, Serialize};
-
 use crate::batch::{try_run_batch_with_threads, SimJob};
 use crate::config::SystemConfig;
-use crate::env::try_configured_threads;
 use crate::runner::CoreModel;
 use crate::runner::SimSummary;
 use crate::workload::WorkloadSpec;
 
 /// One fully specified simulation point: what the machine is, what runs on
 /// it, which timing model executes it, and the workload seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Full point label (`<sweep>/<group>/<variant>` for expanded points).
     pub name: String,
@@ -201,7 +198,7 @@ impl ScenarioSpec {
 /// sweep's axes re-target per expansion step. Multi-template sweeps express
 /// variant lists that are not cartesian (Figure 8's two design points, the
 /// ablation's model/machine combinations).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Template {
     /// Explicit variant label; `None` labels the variant with the model
     /// name.
@@ -234,7 +231,7 @@ impl Template {
 /// cartesian axes. Empty axes keep the template's own value; expansion
 /// order is benchmark-major, then cores, then seeds, then templates, then
 /// models — deterministic, so a sweep is a reproducible batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Sweep name (becomes [`Record::sweep`]).
     pub name: String,
@@ -392,11 +389,11 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Propagates expansion/validation errors and a malformed
-    /// `ISS_THREADS` value (via [`try_configured_threads`]); simulation
+    /// `ISS_THREADS` value (see [`crate::env::THREADS`]); simulation
     /// panics inside a job surface as panics (they indicate bugs, not bad
     /// specs — every spec-level defect is caught by validation first).
     pub fn run(&self) -> Result<Vec<Record>, String> {
-        self.run_with_threads(try_configured_threads()?)
+        self.run_with_threads(crate::env::THREADS.try_get()?)
     }
 
     /// [`SweepSpec::run`] on an explicit worker count. The frontier sweeps

@@ -10,14 +10,12 @@
 //! constructors the legacy drivers used, so a spec-described machine is
 //! bit-identical to its hand-written counterpart.
 
-use serde::{Deserialize, Serialize};
-
 use iss_branch::BranchPredictorConfig;
 
 use crate::config::SystemConfig;
 
 /// The named starting points a machine spec can build on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MachineBaseline {
     /// The paper's Table 1 baseline ([`SystemConfig::hpca2010_baseline`]).
     Hpca2010,
@@ -70,7 +68,7 @@ impl MachineBaseline {
 
 /// Structured overrides applied on top of a [`MachineBaseline`]. The
 /// default value (`MachineOverrides::default()`) changes nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MachineOverrides {
     /// Replace the branch predictor with a perfect one (Figure 4 isolation).
     pub perfect_branch: bool,
@@ -116,7 +114,7 @@ impl MachineOverrides {
 /// scenario runs (which makes core-count mismatches unrepresentable);
 /// `cores: Some(n)` pins it, and scenario validation fails loudly when the
 /// workload disagrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineSpec {
     /// Named starting configuration.
     pub baseline: MachineBaseline,

@@ -1,8 +1,8 @@
 //! Text codec for scenario files: a strict, hand-rolled TOML subset.
 //!
-//! The vendored `serde` is a no-op marker with no serializer backend, so —
-//! like the CI baseline files in `iss-bench` — scenario files are written
-//! and parsed by a small purpose-built codec. The accepted grammar is a
+//! The workspace has no serialization framework, so — like the CI baseline
+//! files in `iss-bench` — scenario files are written and parsed by a small
+//! purpose-built codec. The accepted grammar is a
 //! TOML subset: `key = value` pairs, `[section]` headers, `[[scenario]]`
 //! table arrays, strings in double quotes, unsigned integers, booleans and
 //! homogeneous arrays. Parsing is **strict**: unknown sections, unknown

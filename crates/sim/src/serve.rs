@@ -78,9 +78,9 @@ impl ServeOptions {
     /// [`crate::env`]).
     pub fn from_env() -> Result<ServeOptions, String> {
         Ok(ServeOptions {
-            workers: crate::env::try_serve_workers_from_env()?,
-            cache_dir: crate::env::cache_dir_from_env(),
-            cache_max_bytes: Some(crate::env::try_cache_max_mb_from_env()? * 1024 * 1024),
+            workers: crate::env::SERVE_WORKERS.try_get()?,
+            cache_dir: crate::env::CACHE_DIR.try_get()?,
+            cache_max_bytes: Some(crate::env::CACHE_MAX_MB.try_get()? * 1024 * 1024),
             evict_on_start: false,
         })
     }

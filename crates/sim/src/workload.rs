@@ -7,12 +7,10 @@
 //! runs (Figures 4, 5), homogeneous multi-program workloads (Figures 6, 9)
 //! and multi-threaded runs (Figures 7, 8, 10).
 
-use serde::{Deserialize, Serialize};
-
 use iss_trace::{catalog, ThreadedWorkload, WorkloadProfile};
 
 /// Declarative description of a workload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkloadSpec {
     /// One single-threaded benchmark on one core.
     Single {

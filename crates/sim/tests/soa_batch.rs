@@ -28,8 +28,7 @@
 //! threads concurrently read the environment (glibc `setenv`/`getenv`
 //! race). As the sole test it runs with no sibling test threads, and the
 //! batch workers it spawns never touch the environment
-//! (`configured_threads` is read on the calling thread before any pool
-//! starts).
+//! (`env::THREADS` is read on the calling thread before any pool starts).
 
 // Test helpers panic on failure, like the tests that call them.
 #![allow(clippy::unwrap_used, clippy::expect_used)]

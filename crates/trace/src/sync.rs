@@ -8,12 +8,10 @@
 //! simulator produces the instruction stream, the timing simulator determines
 //! how long each thread is blocked at each synchronization point.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ThreadId;
 
 /// Synchronization operation attached to a dynamic instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncOp {
     /// Arrive at barrier `id`; the thread may not proceed past this
     /// instruction until all participating threads have arrived.
