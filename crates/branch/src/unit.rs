@@ -104,16 +104,6 @@ impl BranchUnit {
         }
     }
 
-    /// Captures the complete predictor state — direction tables, BTB, RAS
-    /// and the accumulated statistics — as a standalone value. A hybrid
-    /// model swap installs the snapshot into the incoming core's front-end
-    /// (the cores' `install_branch_unit`), so the incoming model starts
-    /// with warm tables instead of re-learning every branch.
-    #[must_use]
-    pub fn snapshot(&self) -> BranchUnit {
-        self.clone()
-    }
-
     /// Whether this unit never mispredicts (perfect mode for Figure 4).
     #[must_use]
     pub fn is_perfect(&self) -> bool {
@@ -455,7 +445,7 @@ mod tests {
             let taken = i % 3 != 0;
             trained.predict_and_update(0x7000 + (i % 16) * 4, &cond(taken, 0xA000, 0x7004));
         }
-        let restored = trained.snapshot();
+        let restored = trained.clone();
         assert_eq!(restored.stats(), trained.stats());
         // The restored unit must make the same predictions as the trained one
         // on a probe sequence (tables carried over, not reset).

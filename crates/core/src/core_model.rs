@@ -124,35 +124,16 @@ impl<S: InstructionStream> IntervalCore<S> {
         self.branch_unit.stats()
     }
 
-    /// The branch-prediction front-end (for checkpointing its warm tables).
-    #[must_use]
-    pub fn branch_unit(&self) -> &BranchUnit {
-        &self.branch_unit
-    }
-
-    /// Replaces the branch front-end with `unit` (typically a warm snapshot
+    /// Replaces the branch front-end with `unit` (typically the warm tables
     /// carried over from an outgoing model at a hybrid swap).
     pub fn install_branch_unit(&mut self, unit: BranchUnit) {
         self.branch_unit = unit;
     }
 
-    /// The instruction source feeding this core.
-    #[must_use]
-    pub fn stream(&self) -> &S {
-        &self.stream
-    }
-
-    /// Instructions fetched into the look-ahead window but not yet retired,
-    /// oldest first. At a checkpoint these must be replayed to the incoming
-    /// model, since they have already been consumed from the stream.
-    #[must_use]
-    pub fn pending_insts(&self) -> Vec<DynInst> {
-        self.window.iter().copied().collect()
-    }
-
     /// Consumes the core into its transferable warm state (see
-    /// [`CoreWarmParts`]); the pending instructions are the same list
-    /// [`IntervalCore::pending_insts`] reports.
+    /// [`CoreWarmParts`]): the window's fetched-but-unretired instructions,
+    /// oldest first, must be replayed to the incoming model, since they have
+    /// already been consumed from the stream.
     #[must_use]
     pub fn into_warm_parts(self) -> CoreWarmParts<S> {
         let resume = iss_trace::CoreResume {

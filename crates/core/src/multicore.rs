@@ -58,10 +58,9 @@ impl IntervalSimResult {
 }
 
 /// Transferable warm state of a whole interval machine, extracted by
-/// *consuming* the simulator — the clone-free counterpart of a lean
-/// checkpoint, for callers that own the machine (the sampled-simulation
-/// controller deconstructs a timing model this way at every
-/// timed→functional transition).
+/// *consuming* the simulator, so nothing is cloned. A model checkpoint is
+/// assembled from it at every hybrid swap and every timed→functional
+/// transition of a sampled run.
 #[derive(Debug)]
 pub struct IntervalWarmParts<S> {
     /// The machine clock (absolute simulated cycles).
@@ -188,22 +187,10 @@ impl<S: InstructionStream> IntervalSimulator<S> {
         self.cores.iter().map(|c| c.stats().instructions).sum()
     }
 
-    /// The simulated cores (read-only, for checkpointing).
-    #[must_use]
-    pub fn cores(&self) -> &[IntervalCore<S>] {
-        &self.cores
-    }
-
-    /// The shared memory hierarchy (read-only, for checkpointing).
+    /// The shared memory hierarchy (read-only).
     #[must_use]
     pub fn memory(&self) -> &MemoryHierarchy {
         &self.mem
-    }
-
-    /// The shared synchronization controller (read-only, for checkpointing).
-    #[must_use]
-    pub fn sync_controller(&self) -> &SyncController {
-        &self.sync
     }
 
     /// Runs the simulation to completion and returns the result.
@@ -281,33 +268,10 @@ impl<S: InstructionStream> IntervalSimulator<S> {
         }
     }
 
-    /// Installs checkpointed warm state into a freshly built simulator: the
-    /// transferred memory hierarchy (cache/TLB/DRAM warmth), the machine
-    /// clock, each core's resume point, and (when the outgoing model had
-    /// them) the warm branch-predictor tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transferred state does not cover every core.
-    pub fn restore_warm(
-        &mut self,
-        mem: MemoryHierarchy,
-        machine_time: u64,
-        per_core: &[iss_trace::CoreResume],
-        branch: Option<&[iss_branch::BranchUnit]>,
-    ) {
-        assert_eq!(
-            mem.num_cores(),
-            self.cores.len(),
-            "transferred hierarchy must cover every core"
-        );
-        self.mem = mem;
-        self.resume_cores(machine_time, per_core, branch);
-    }
-
-    /// The core-resume half of [`IntervalSimulator::restore_warm`], for
-    /// simulators built over an already-transferred hierarchy
-    /// ([`IntervalSimulator::with_memory`]).
+    /// Positions a simulator built over a transferred hierarchy
+    /// ([`IntervalSimulator::with_memory`]) at a checkpoint: the machine
+    /// clock, each core's resume point and, when the outgoing model had
+    /// them, the warm branch-predictor tables, which are moved in.
     ///
     /// # Panics
     ///
@@ -316,7 +280,7 @@ impl<S: InstructionStream> IntervalSimulator<S> {
         &mut self,
         machine_time: u64,
         per_core: &[iss_trace::CoreResume],
-        branch: Option<&[iss_branch::BranchUnit]>,
+        branch: Option<Vec<iss_branch::BranchUnit>>,
     ) {
         assert_eq!(
             per_core.len(),
@@ -324,10 +288,17 @@ impl<S: InstructionStream> IntervalSimulator<S> {
             "one resume point per core is required"
         );
         self.multi_core_time = machine_time;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            core.resume_at(&per_core[i]);
-            if let Some(units) = branch {
-                core.install_branch_unit(units[i].clone());
+        for (core, resume) in self.cores.iter_mut().zip(per_core) {
+            core.resume_at(resume);
+        }
+        if let Some(units) = branch {
+            assert_eq!(
+                units.len(),
+                self.cores.len(),
+                "one branch unit per core is required"
+            );
+            for (core, unit) in self.cores.iter_mut().zip(units) {
+                core.install_branch_unit(unit);
             }
         }
     }

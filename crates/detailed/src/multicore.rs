@@ -75,8 +75,9 @@ pub struct CoreWarmParts<S> {
 }
 
 /// Transferable warm state of a whole machine, extracted by *consuming* the
-/// simulator — the clone-free counterpart of a lean checkpoint, for callers
-/// that own the machine.
+/// simulator, so nothing is cloned. A model checkpoint is assembled from it
+/// at every hybrid swap and every timed→functional transition of a sampled
+/// run.
 #[derive(Debug)]
 pub struct WarmParts<S> {
     /// The machine clock (absolute simulated cycles).
@@ -200,22 +201,10 @@ impl<S: InstructionStream> DetailedSimulator<S> {
         self.cycle
     }
 
-    /// The simulated cores (read-only, for checkpointing).
-    #[must_use]
-    pub fn cores(&self) -> &[OutOfOrderCore<S>] {
-        &self.cores
-    }
-
-    /// The shared memory hierarchy (read-only, for checkpointing).
+    /// The shared memory hierarchy (read-only).
     #[must_use]
     pub fn memory(&self) -> &MemoryHierarchy {
         &self.mem
-    }
-
-    /// The shared synchronization controller (read-only, for checkpointing).
-    #[must_use]
-    pub fn sync_controller(&self) -> &SyncController {
-        &self.sync
     }
 
     /// Runs to completion.
@@ -252,31 +241,10 @@ impl<S: InstructionStream> DetailedSimulator<S> {
         }
     }
 
-    /// Installs checkpointed warm state into a freshly built simulator (see
-    /// the interval simulator's `restore_warm` for the contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transferred state does not cover every core.
-    pub fn restore_warm(
-        &mut self,
-        mem: MemoryHierarchy,
-        machine_time: u64,
-        per_core: &[iss_trace::CoreResume],
-        branch: Option<&[iss_branch::BranchUnit]>,
-    ) {
-        assert_eq!(
-            mem.num_cores(),
-            self.cores.len(),
-            "transferred hierarchy must cover every core"
-        );
-        self.mem = mem;
-        self.resume_cores(machine_time, per_core, branch);
-    }
-
-    /// The core-resume half of [`DetailedSimulator::restore_warm`], for
-    /// simulators built over an already-transferred hierarchy
-    /// ([`DetailedSimulator::with_memory`]).
+    /// Positions a simulator built over a transferred hierarchy
+    /// ([`DetailedSimulator::with_memory`]) at a checkpoint: the machine
+    /// clock, each core's resume point and, when the outgoing model had
+    /// them, the warm branch-predictor tables, which are moved in.
     ///
     /// # Panics
     ///
@@ -285,7 +253,7 @@ impl<S: InstructionStream> DetailedSimulator<S> {
         &mut self,
         machine_time: u64,
         per_core: &[iss_trace::CoreResume],
-        branch: Option<&[BranchUnit]>,
+        branch: Option<Vec<BranchUnit>>,
     ) {
         assert_eq!(
             per_core.len(),
@@ -293,10 +261,17 @@ impl<S: InstructionStream> DetailedSimulator<S> {
             "one resume point per core is required"
         );
         self.cycle = machine_time;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            core.resume_at(&per_core[i]);
-            if let Some(units) = branch {
-                core.install_branch_unit(units[i].clone());
+        for (core, resume) in self.cores.iter_mut().zip(per_core) {
+            core.resume_at(resume);
+        }
+        if let Some(units) = branch {
+            assert_eq!(
+                units.len(),
+                self.cores.len(),
+                "one branch unit per core is required"
+            );
+            for (core, unit) in self.cores.iter_mut().zip(units) {
+                core.install_branch_unit(unit);
             }
         }
     }
@@ -441,22 +416,10 @@ impl<S: InstructionStream> OneIpcSimulator<S> {
         self.cycle
     }
 
-    /// The simulated cores (read-only, for checkpointing).
-    #[must_use]
-    pub fn cores(&self) -> &[OneIpcCore<S>] {
-        &self.cores
-    }
-
-    /// The shared memory hierarchy (read-only, for checkpointing).
+    /// The shared memory hierarchy (read-only).
     #[must_use]
     pub fn memory(&self) -> &MemoryHierarchy {
         &self.mem
-    }
-
-    /// The shared synchronization controller (read-only, for checkpointing).
-    #[must_use]
-    pub fn sync_controller(&self) -> &SyncController {
-        &self.sync
     }
 
     /// Runs to completion (bounded by `max_cycles`).
@@ -488,31 +451,11 @@ impl<S: InstructionStream> OneIpcSimulator<S> {
         }
     }
 
-    /// Installs checkpointed warm state into a freshly built simulator. The
-    /// one-IPC model has no branch predictor, so warm branch state (if any)
-    /// is dropped here and re-learned if a later swap leaves this model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transferred state does not cover every core.
-    pub fn restore_warm(
-        &mut self,
-        mem: MemoryHierarchy,
-        machine_time: u64,
-        per_core: &[iss_trace::CoreResume],
-    ) {
-        assert_eq!(
-            mem.num_cores(),
-            self.cores.len(),
-            "transferred hierarchy must cover every core"
-        );
-        self.mem = mem;
-        self.resume_cores(machine_time, per_core);
-    }
-
-    /// The core-resume half of [`OneIpcSimulator::restore_warm`], for
-    /// simulators built over an already-transferred hierarchy
-    /// ([`OneIpcSimulator::with_memory`]).
+    /// Positions a simulator built over a transferred hierarchy
+    /// ([`OneIpcSimulator::with_memory`]) at a checkpoint: the machine clock
+    /// and each core's resume point. The one-IPC model has no branch
+    /// predictor, so warm branch state is not installed; it is re-learned
+    /// if a later swap leaves this model.
     ///
     /// # Panics
     ///
@@ -524,8 +467,8 @@ impl<S: InstructionStream> OneIpcSimulator<S> {
             "one resume point per core is required"
         );
         self.cycle = machine_time;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            core.resume_at(&per_core[i]);
+        for (core, resume) in self.cores.iter_mut().zip(per_core) {
+            core.resume_at(resume);
         }
     }
 

@@ -113,28 +113,10 @@ impl<S: InstructionStream> OneIpcCore<S> {
         self.core_time = now + latency;
     }
 
-    /// The per-core simulated time.
-    #[must_use]
-    pub fn core_time(&self) -> u64 {
-        self.core_time
-    }
-
-    /// The instruction source feeding this core.
-    #[must_use]
-    pub fn stream(&self) -> &S {
-        &self.stream
-    }
-
-    /// The instruction (if any) fetched but not yet executed — a lock
-    /// acquire or join that could not proceed. At a checkpoint it must be
-    /// replayed to the incoming model.
-    #[must_use]
-    pub fn pending_insts(&self) -> Vec<iss_trace::DynInst> {
-        self.pending.iter().copied().collect()
-    }
-
     /// Consumes the core into its transferable warm state (the one-IPC
-    /// model predicts no branches, so no branch unit is carried).
+    /// model predicts no branches, so no branch unit is carried). The
+    /// pending instruction, if any, is the lock acquire or join that could
+    /// not proceed yet; the incoming model must replay it.
     #[must_use]
     pub fn into_warm_parts(self) -> crate::multicore::CoreWarmParts<S> {
         crate::multicore::CoreWarmParts {

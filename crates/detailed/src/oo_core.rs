@@ -164,40 +164,17 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
         self.rob.len()
     }
 
-    /// The branch-prediction front-end (for checkpointing its warm tables).
-    #[must_use]
-    pub fn branch_unit(&self) -> &BranchUnit {
-        &self.branch_unit
-    }
-
-    /// Replaces the branch front-end with `unit` (typically a warm snapshot
+    /// Replaces the branch front-end with `unit` (typically the warm tables
     /// carried over from an outgoing model at a hybrid swap).
     pub fn install_branch_unit(&mut self, unit: BranchUnit) {
         self.branch_unit = unit;
     }
 
-    /// The instruction source feeding this core.
-    #[must_use]
-    pub fn stream(&self) -> &S {
-        &self.stream
-    }
-
-    /// Instructions fetched from the stream but not yet committed, oldest
-    /// first: the ROB contents (dispatched, in flight) followed by the fetch
-    /// queue. At a checkpoint these must be replayed to the incoming model.
-    #[must_use]
-    pub fn pending_insts(&self) -> Vec<DynInst> {
-        self.rob
-            .iter()
-            .map(|e| e.inst)
-            .chain(self.fetch_queue.iter().map(|fe| fe.inst))
-            .collect()
-    }
-
     /// Consumes the core into its transferable warm state. `now` is the
     /// machine clock (the detailed model keeps no per-core clock for live
-    /// cores); the pending instructions are the same list
-    /// [`OutOfOrderCore::pending_insts`] reports. Nothing is cloned.
+    /// cores). The pending instructions are those fetched but not yet
+    /// committed, oldest first: the ROB contents (dispatched, in flight)
+    /// followed by the fetch queue. Nothing is cloned.
     #[must_use]
     pub fn into_warm_parts(self, now: u64) -> crate::multicore::CoreWarmParts<S> {
         let pending: Vec<DynInst> = self

@@ -5,11 +5,12 @@
 //! in the spirit of online model swapping (Lavin et al.) and phase-aware
 //! interval selection (Bueno et al.): a [`SwapController`] watches
 //! per-interval CPI and DRAM-traffic phase signals and swaps the active
-//! [`CpuModel`] at interval boundaries. The incoming model is warmed from a
-//! [`ModelCheckpoint`](crate::model::ModelCheckpoint) — stream position,
-//! branch-predictor tables, cache/TLB/DRAM state, synchronization state and
-//! per-core clocks all carry over — so accuracy degrades gracefully while
-//! the cheap intervals buy wall-clock speed.
+//! model of an [`AnyMachine`] at interval boundaries. The incoming model is
+//! warmed from a [`ModelCheckpoint`](crate::model::ModelCheckpoint) taken by
+//! consuming the outgoing machine — stream position, branch-predictor
+//! tables, cache/TLB/DRAM state, synchronization state and per-core clocks
+//! all carry over — so accuracy degrades gracefully while the cheap
+//! intervals buy wall-clock speed.
 //!
 //! Everything a swap decision reads is *simulated* state, never host time,
 //! so hybrid runs are exactly as deterministic as plain runs: the same
@@ -21,7 +22,7 @@ use iss_trace::host_time::HostTimer;
 use iss_trace::ThreadedWorkload;
 
 use crate::config::SystemConfig;
-use crate::model::{AnyMachine, CpuModel};
+use crate::model::AnyMachine;
 use crate::runner::{BaseModel, CoreModel, SimSummary};
 
 /// When the swap controller picks the next interval's model.
@@ -248,10 +249,8 @@ pub fn run_hybrid(
         };
         let next = controller.decide(machine.kind(), signal);
         if next != machine.kind() {
-            // A swap always crosses models, so the lean checkpoint (no exact
-            // same-model resume copy) suffices — and the loop owns the
-            // machine, so the checkpoint is extracted by consuming it: no
-            // hierarchy/stream/branch-table clones at all.
+            // The loop owns the machine, so the checkpoint is extracted by
+            // consuming it: no hierarchy/stream/branch-table clones at all.
             machine = AnyMachine::restore(next, config, machine.into_lean_checkpoint());
         }
     }

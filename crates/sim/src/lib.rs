@@ -49,7 +49,7 @@ pub mod workload;
 pub use batch::{run_batch, run_batch_with_threads, SimJob};
 pub use config::SystemConfig;
 pub use hybrid::{HybridSpec, SwapController, SwapPolicy};
-pub use model::{AnyMachine, CpuModel, ModelCheckpoint};
+pub use model::{AnyMachine, ModelCheckpoint};
 pub use runner::{run, BaseModel, CoreModel, CoreSummary, SimSummary};
 pub use sampling::{run_sampled, run_sampled_with_batch, SamplingEstimate, SamplingSpec};
 pub use scenario::{MachineSpec, Record, ScenarioSpec, SweepSpec};

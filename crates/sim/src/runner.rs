@@ -2,16 +2,16 @@
 //!
 //! [`run`] executes a [`WorkloadSpec`] on a [`SystemConfig`] under the chosen
 //! [`CoreModel`] and returns a model-independent [`SimSummary`], which is
-//! what the experiment drivers and metrics operate on. All models execute
-//! through the unified [`CpuModel`](crate::model::CpuModel) machinery — the
-//! three base models as one uninterrupted machine, hybrid specs through the
-//! [`hybrid`](crate::hybrid) swap controller.
+//! what the experiment drivers and metrics operate on. Every model executes
+//! as an [`AnyMachine`] — the three base models as one uninterrupted
+//! machine, hybrid specs through the [`hybrid`](crate::hybrid) swap
+//! controller.
 
 use iss_mem::MemoryStats;
 
 use crate::config::SystemConfig;
 use crate::hybrid::HybridSpec;
-use crate::model::{AnyMachine, CpuModel as _};
+use crate::model::AnyMachine;
 use crate::sampling::{SamplingEstimate, SamplingSpec};
 use crate::workload::WorkloadSpec;
 

@@ -47,11 +47,16 @@
 //! replays the branch subset (`BranchUnit::update_batch`). Branch tables are
 //! per-core private and disjoint from the memory hierarchy, so hoisting the
 //! branch updates after the memory walk commutes, and every batch size —
-//! including the scalar-degenerate `1` — produces bit-identical records. Transitions reuse the
-//! [`ModelCheckpoint`] machinery from the hybrid subsystem — by *consuming*
-//! the machine ([`AnyMachine::into_lean_checkpoint`]), so no hierarchy or
-//! stream is ever cloned — and consecutive measured units keep the machine
-//! alive, so `sample_every = 1` degenerates to the pure measurement model.
+//! including the scalar-degenerate `1` — produces bit-identical records.
+//!
+//! Transitions go through the one [`ModelCheckpoint`] the hybrid subsystem
+//! uses. Timed→functional consumes the machine
+//! ([`AnyMachine::into_lean_checkpoint`]); functional→timed assembles the
+//! checkpoint from the warmed state and [`AnyMachine::restore`]s the
+//! measurement model from it, which warm-starts from the transferred
+//! streams, branch tables and hierarchy. No hierarchy or stream is ever
+//! cloned, and consecutive measured units keep the machine alive, so
+//! `sample_every = 1` degenerates to the pure measurement model.
 
 use iss_trace::host_time::HostTimer;
 
@@ -62,7 +67,7 @@ use iss_trace::{
 };
 
 use crate::config::SystemConfig;
-use crate::model::{AnyMachine, CpuModel, ModelCheckpoint};
+use crate::model::{AnyMachine, ModelCheckpoint};
 use crate::runner::{BaseModel, CoreModel, CoreSummary, SimSummary};
 
 /// Cache-line shift used to batch instruction-side warming accesses (one
@@ -475,17 +480,16 @@ impl FunctionalState {
         }
     }
 
-    fn into_checkpoint(mut self, from: BaseModel) -> ModelCheckpoint {
+    fn into_checkpoint(mut self) -> ModelCheckpoint {
         self.memory.set_warming(false);
-        ModelCheckpoint::from_functional(
-            from,
-            self.now,
-            self.per_core,
-            self.streams,
-            Some(self.branch),
-            self.memory,
-            self.sync,
-        )
+        ModelCheckpoint {
+            machine_time: self.now,
+            per_core: self.per_core,
+            streams: self.streams,
+            branch: Some(self.branch),
+            memory: self.memory,
+            sync: self.sync,
+        }
     }
 
     fn all_done(&self) -> bool {
@@ -658,7 +662,7 @@ pub fn run_sampled_with_batch(
                     if fast_forwarded > 0 {
                         swaps += 1;
                     }
-                    AnyMachine::restore(spec.measure, config, fs.into_checkpoint(spec.measure))
+                    AnyMachine::restore(spec.measure, config, fs.into_checkpoint())
                 }
             };
             t_restore += t0.elapsed_seconds();

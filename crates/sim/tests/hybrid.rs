@@ -1,6 +1,7 @@
-//! Integration tests of the hybrid model-swapping subsystem: checkpoint
-//! round trips, bit-identity of pinned hybrid runs, worker-count invariance
-//! of hybrid batch rows, and the speed-vs-accuracy acceptance frontier.
+//! Integration tests of the hybrid model-swapping subsystem: instruction
+//! conservation across checkpoint restores, bit-identity of pinned hybrid
+//! runs, worker-count invariance of hybrid batch rows, and the
+//! speed-vs-accuracy acceptance frontier.
 
 // Test helpers panic on failure, like the tests that call them.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -8,7 +9,7 @@
 use iss_sim::batch::run_batch_with_threads;
 use iss_sim::experiments::{default_hybrid_policies, fig_hybrid, ExperimentScale};
 use iss_sim::hybrid::HybridSpec;
-use iss_sim::model::{AnyMachine, CpuModel};
+use iss_sim::model::AnyMachine;
 use iss_sim::runner::{run, BaseModel, CoreModel};
 use iss_sim::{SimJob, SystemConfig, WorkloadSpec};
 
@@ -16,97 +17,62 @@ fn machine(kind: BaseModel, spec: &WorkloadSpec, config: &SystemConfig, seed: u6
     AnyMachine::build(kind, config, spec.build(seed).unwrap())
 }
 
-/// `restore(checkpoint())` into the same model is an identity: continuing
-/// the restored machine produces the exact summary the original produces.
-#[test]
-fn checkpoint_restore_is_an_identity_for_each_model() {
-    let config = SystemConfig::hpca2010_baseline(1);
-    let spec = WorkloadSpec::single("gcc", 6_000);
-    for kind in [BaseModel::Interval, BaseModel::Detailed, BaseModel::OneIpc] {
-        let mut original = machine(kind, &spec, &config, 11);
-        original.step_interval(2_500);
-        let ckpt = original.checkpoint();
-        let mut restored = AnyMachine::restore(kind, &config, ckpt);
-        original.run_to_completion();
-        restored.run_to_completion();
-        let a = original.summary(kind.into(), "gcc".into());
-        let b = restored.summary(kind.into(), "gcc".into());
-        assert_eq!(
-            a.canonical_record(),
-            b.canonical_record(),
-            "same-model restore must be exact for {}",
-            kind.name()
-        );
-    }
-}
-
-/// The identity holds at multi-core checkpoints too (cores at different
-/// per-core times, shared L2 and synchronization state in flight).
-#[test]
-fn checkpoint_restore_is_an_identity_on_multicore_workloads() {
-    let config = SystemConfig::hpca2010_baseline(2);
-    let spec = WorkloadSpec::multithreaded("fluidanimate", 2, 30_000);
-    let mut original = machine(BaseModel::Interval, &spec, &config, 5);
-    original.step_interval(9_000);
-    let ckpt = original.checkpoint();
-    let mut restored = AnyMachine::restore(BaseModel::Interval, &config, ckpt);
-    original.run_to_completion();
-    restored.run_to_completion();
-    assert_eq!(
-        original
-            .summary(CoreModel::Interval, spec.label())
-            .canonical_record(),
-        restored
-            .summary(CoreModel::Interval, spec.label())
-            .canonical_record()
-    );
-}
-
-/// Cross-model restore preserves the functional execution: no instruction is
-/// lost or duplicated across the swap, and the swap is deterministic.
+/// Restoring a checkpoint — into the same model or a different one, on one
+/// core or two — preserves the functional execution: no instruction is lost
+/// or duplicated across the restore, and the restore is deterministic.
 #[test]
 fn cross_model_restore_retires_exactly_the_remaining_instructions() {
-    let config = SystemConfig::hpca2010_baseline(1);
-    let spec = WorkloadSpec::single("mcf", 8_000);
-    for (from, to) in [
+    let pairs = [
+        (BaseModel::Interval, BaseModel::Interval),
+        (BaseModel::Detailed, BaseModel::Detailed),
+        (BaseModel::OneIpc, BaseModel::OneIpc),
         (BaseModel::Interval, BaseModel::Detailed),
         (BaseModel::Detailed, BaseModel::Interval),
         (BaseModel::Interval, BaseModel::OneIpc),
         (BaseModel::OneIpc, BaseModel::Detailed),
-    ] {
-        let run_once = || {
-            let mut m = machine(from, &spec, &config, 3);
-            m.step_interval(3_000);
-            let retired_at_swap = m.retired_instructions();
-            let ckpt = m.checkpoint_lean();
-            let mut incoming = AnyMachine::restore(to, &config, ckpt);
+    ];
+    let single = (
+        SystemConfig::hpca2010_baseline(1),
+        WorkloadSpec::single("mcf", 8_000),
+        3_000,
+    );
+    // Two cores at different per-core times, with the shared L2 and the
+    // barrier state in flight at the checkpoint.
+    let fluid = (
+        SystemConfig::hpca2010_baseline(2),
+        WorkloadSpec::multithreaded("fluidanimate", 2, 30_000),
+        9_000,
+    );
+    for (config, spec, at) in [single, fluid] {
+        let total = run(CoreModel::OneIpc, &config, &spec, 3).total_instructions;
+        for (from, to) in pairs {
+            let case = format!("{}: {} -> {}", spec.label(), from.name(), to.name());
+            let run_once = || {
+                let mut m = machine(from, &spec, &config, 3);
+                m.step_interval(at);
+                let retired_at_swap = m.retired_instructions();
+                let mut incoming = AnyMachine::restore(to, &config, m.into_lean_checkpoint());
+                assert_eq!(
+                    incoming.retired_instructions(),
+                    retired_at_swap,
+                    "{case}: the incoming model must continue from the same \
+                     retired-instruction count"
+                );
+                incoming.run_to_completion();
+                incoming.summary(to.into(), spec.label())
+            };
+            let first = run_once();
+            let second = run_once();
             assert_eq!(
-                incoming.retired_instructions(),
-                retired_at_swap,
-                "{} -> {}: the incoming model must continue from the same \
-                 retired-instruction count",
-                from.name(),
-                to.name()
+                first.total_instructions, total,
+                "{case}: every instruction retires exactly once"
             );
-            incoming.run_to_completion();
-            incoming.summary(to.into(), spec.label())
-        };
-        let first = run_once();
-        let second = run_once();
-        assert_eq!(
-            first.total_instructions,
-            8_000,
-            "{} -> {}: every instruction retires exactly once",
-            from.name(),
-            to.name()
-        );
-        assert_eq!(
-            first.canonical_record(),
-            second.canonical_record(),
-            "{} -> {}: a swap must be deterministic",
-            from.name(),
-            to.name()
-        );
+            assert_eq!(
+                first.canonical_record(),
+                second.canonical_record(),
+                "{case}: a restore must be deterministic"
+            );
+        }
     }
 }
 

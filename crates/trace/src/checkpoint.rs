@@ -5,8 +5,8 @@
 //! instructions have already been consumed from the underlying deterministic
 //! generator, so the incoming model cannot simply clone the generator — it
 //! would skip them. [`CheckpointStream`] solves this: it replays the
-//! unretired instructions first (in program order) and then continues from a
-//! clone of the generator, so the incoming model observes exactly the
+//! unretired instructions first (in program order) and then continues from
+//! the handed-over generator, so the incoming model observes exactly the
 //! suffix of the dynamic instruction stream that the outgoing model had not
 //! yet retired.
 
@@ -29,7 +29,7 @@ pub struct CoreResume {
 }
 
 /// An instruction stream that replays a checkpointed prefix before continuing
-/// from a cloned [`SyntheticStream`] generator.
+/// from a [`SyntheticStream`] generator.
 ///
 /// A fresh stream (empty prefix) behaves exactly like the wrapped generator,
 /// which is why every model — not just hybrid runs — executes on
@@ -53,22 +53,9 @@ impl CheckpointStream {
 
     /// Builds the stream an incoming model resumes from: `unretired` are the
     /// instructions the outgoing model had fetched but not retired (oldest
-    /// first), and `current` is the outgoing model's stream as it stands —
-    /// its own un-replayed prefix (if any) followed by the generator.
-    #[must_use]
-    pub fn resuming(unretired: Vec<DynInst>, current: &CheckpointStream) -> Self {
-        let mut replay: VecDeque<DynInst> = unretired.into();
-        replay.extend(current.replay.iter().copied());
-        CheckpointStream {
-            replay,
-            inner: current.inner.clone(),
-        }
-    }
-
-    /// Owned variant of [`CheckpointStream::resuming`]: prepends `unretired`
-    /// to a stream the caller already owns, without cloning the generator.
-    /// This is the clone-free path a sampled run takes when it deconstructs
-    /// a timing model it owns at a functional-unit boundary.
+    /// first), prepended to `current`, the outgoing model's own stream as it
+    /// stands (its un-replayed prefix, if any, followed by the generator).
+    /// Nothing is cloned: the outgoing model hands its stream over.
     #[must_use]
     pub fn resuming_owned(unretired: Vec<DynInst>, mut current: CheckpointStream) -> Self {
         for inst in unretired.into_iter().rev() {
@@ -136,7 +123,7 @@ mod tests {
             consumed.push(s.next_inst().unwrap());
         }
         let unretired = consumed[60..].to_vec();
-        let mut resumed = CheckpointStream::resuming(unretired, &s);
+        let mut resumed = CheckpointStream::resuming_owned(unretired, s);
         assert_eq!(resumed.replay_len(), 40);
         assert_eq!(resumed.remaining_hint(), Some(940));
         let tail = collect(&mut resumed);
@@ -146,6 +133,8 @@ mod tests {
 
     #[test]
     fn resuming_owned_matches_the_cloning_path() {
+        // A caller that must keep its stream checkpoints a clone; the clone
+        // resumes exactly like the handed-over original.
         let p = catalog::profile("gcc").unwrap();
         let mut s = CheckpointStream::fresh(SyntheticStream::new(&p, 0, 9, 800));
         let mut consumed = Vec::new();
@@ -153,7 +142,7 @@ mod tests {
             consumed.push(s.next_inst().unwrap());
         }
         let unretired = consumed[90..].to_vec();
-        let cloned = CheckpointStream::resuming(unretired.clone(), &s);
+        let cloned = CheckpointStream::resuming_owned(unretired.clone(), s.clone());
         let owned = CheckpointStream::resuming_owned(unretired, s);
         assert_eq!(collect(&mut { cloned }), collect(&mut { owned }));
     }
@@ -170,14 +159,14 @@ mod tests {
             consumed.push(s.next_inst().unwrap());
         }
         // First swap: 10 unretired.
-        let mut second = CheckpointStream::resuming(consumed[40..].to_vec(), &s);
+        let mut second = CheckpointStream::resuming_owned(consumed[40..].to_vec(), s);
         // Drain 3 of the replayed instructions, then swap again with 2 more
         // unretired in front of the remaining 7.
         let mut replayed = Vec::new();
         for _ in 0..3 {
             replayed.push(second.next_inst().unwrap());
         }
-        let third = CheckpointStream::resuming(replayed[1..].to_vec(), &second);
+        let third = CheckpointStream::resuming_owned(replayed[1..].to_vec(), second);
         let tail = collect(&mut { third });
         assert_eq!(&reference[41..], &tail[..]);
     }

@@ -45,7 +45,7 @@ pub mod sync;
 pub mod threaded;
 
 pub use checkpoint::{CheckpointStream, CoreResume};
-pub use fastfwd::{fast_forward, fast_forward_batched, InstBatch};
+pub use fastfwd::{fast_forward_batched, InstBatch};
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use host_time::HostTimer;
 pub use inst::{BranchClass, BranchInfo, DynInst, MemAccess, OpClass, RegId};
