@@ -1,8 +1,8 @@
 //! The scenario CLI: one front door for every experiment.
 //!
 //! ```text
-//! iss run <spec.toml | builtin-name> [--threads N] [--reference VARIANT]
-//!                                    [--json PATH]
+//! iss run <spec.toml | builtin-name> [--all-benchmarks] [--threads N]
+//!                                    [--reference VARIANT] [--json PATH]
 //!                                    [--shard K/N | --jobs I,J,...]
 //! iss sweep <spec.toml | builtin-name> [--shards N] [--checkpoint PATH]
 //!                                      [--resume] [--json PATH] [--jsonl PATH]
@@ -11,14 +11,22 @@
 //! iss validate <spec.toml | directory>...
 //! iss lint <spec.toml | directory>...
 //! iss list [directory]
-//! iss export <builtin-name> [path]
-//! iss export <spec.toml | builtin-name> --jsonl [path]
+//! iss export <builtin-name> [--all-benchmarks] [path]
+//! iss export <spec.toml | builtin-name> --jsonl [--all-benchmarks] [path]
 //! ```
 //!
-//! `run` executes a scenario file (or a built-in figure sweep by name)
-//! through the generic engine and prints the unified record table plus,
-//! when the sweep carries a reference variant (`detailed` by default), the
-//! comparison view (CPI error, host-time speedup, CI coverage). With
+//! `run` executes a scenario file (or a built-in figure sweep by name —
+//! the one driver of every figure of the paper) through the generic engine
+//! and prints the unified record table plus, when the sweep carries a
+//! reference variant (`detailed` by default), the comparison view (CPI
+//! error, host-time speedup, CI coverage). The figure views follow from
+//! the expanded points, with no flag: the STP/ANTT view when every point
+//! is a homogeneous multi-program workload and the copy count varies
+//! (Figure 6), execution time normalized to the reference when every
+//! point is multi-threaded (Figures 7, 8 and 10), and the best point
+//! within 5% CPI error when the sweep holds hybrid or sampled variants
+//! (the frontiers). Built-in names take `--all-benchmarks` to sweep the
+//! full SPEC CPU2000 and PARSEC catalogs instead of the quick subsets. With
 //! `--shard K/N` or `--jobs I,J,...` it instead becomes the *child* of a
 //! sharded sweep: it runs the selected expansion-order jobs serially and
 //! streams one `Record` JSON line per job to stdout (no tables).
@@ -34,8 +42,8 @@
 //! core-count mismatches, invalid configs) fails here, loudly.
 //! `lint` goes further: static analysis of specs that *do* validate —
 //! duplicate design points by canonical digest, dead sweep axes, machine
-//! sanity, and a cost estimate against `ci/BENCH_baseline.json` (see the
-//! `iss-lint` crate).
+//! sanity, and a cost estimate against `ci/BENCH_baseline.json` (see
+//! [`iss_bench::spec`]).
 //! `serve` turns the engine into a long-running service: a TCP listener
 //! speaking line-delimited JSON, a bounded simulation worker pool
 //! (`--workers` / `ISS_SERVE_WORKERS`), and a persistent digest-keyed
@@ -52,29 +60,33 @@
 //! The instruction budget of built-in sweeps follows
 //! `ISS_EXPERIMENT_SCALE`; files carry their own budgets.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use iss_bench::scenarios::{builtin_sweep, is_wall_clock_frontier, BUILTINS};
+use iss_bench::gates::parse_perf_file;
+use iss_bench::scenarios::{builtin_sweep, BUILTINS};
+use iss_bench::spec;
 use iss_sim::env::{EXPERIMENT_SCALE, JOB_TIMEOUT_MS, SHARDS, SHARD_RETRIES, THREADS};
 use iss_sim::experiments::ExperimentScale;
 use iss_sim::report;
 use iss_sim::scenario::{render_records_json, render_records_jsonl};
 use iss_sim::shard::{run_shard_jobs, run_sharded_sweep, shard_job_indices, ShardOptions};
-use iss_sim::SweepSpec;
+use iss_sim::{CoreModel, ScenarioSpec, SweepSpec, WorkloadSpec};
 
 const DEFAULT_SCENARIO_DIR: &str = "examples/scenarios";
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  iss run <spec.toml | builtin> [--threads N] [--reference VARIANT] \
-         [--json PATH] [--shard K/N | --jobs I,J,...]\n  iss sweep <spec.toml | builtin> \
+        "usage:\n  iss run <spec.toml | builtin> [--all-benchmarks] [--threads N] \
+         [--reference VARIANT] [--json PATH] [--shard K/N | --jobs I,J,...]\n  \
+         iss sweep <spec.toml | builtin> \
          [--shards N] [--checkpoint PATH] [--resume] [--json PATH] [--jsonl PATH]\n  \
          iss serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR] \
          [--cache-max-mb N] [--evict]\n  \
          iss validate <spec.toml | directory>...\n  iss lint <spec.toml | \
-         directory>...\n  iss list [directory]\n  iss export <builtin> [path]\n  \
-         iss export <spec.toml | builtin> --jsonl [path]"
+         directory>...\n  iss list [directory]\n  iss export <builtin> [--all-benchmarks] \
+         [path]\n  iss export <spec.toml | builtin> --jsonl [--all-benchmarks] [path]"
     );
     ExitCode::FAILURE
 }
@@ -103,25 +115,31 @@ fn cli_scale(command: &str) -> Result<ExperimentScale, ExitCode> {
 }
 
 fn export(args: &[String]) -> ExitCode {
-    let Some(name) = args.first() else {
+    let all_benchmarks = args.iter().any(|a| a == "--all-benchmarks");
+    let jsonl = args.iter().any(|a| a == "--jsonl");
+    let mut operands = args
+        .iter()
+        .filter(|a| !matches!(a.as_str(), "--all-benchmarks" | "--jsonl"));
+    let Some(name) = operands.next() else {
         return usage();
     };
+    let path = operands.next();
     // `--jsonl` switches export from "emit the spec as TOML" to "run the
     // sweep and emit its records as line-delimited JSON" — one `Record`
     // object per line, quarantine rows included.
-    if args.iter().any(|a| a == "--jsonl") {
-        return export_jsonl(name, args.iter().skip(1).find(|a| *a != "--jsonl"));
+    if jsonl {
+        return export_jsonl(name, path, all_benchmarks);
     }
     let scale = match cli_scale("export") {
         Ok(scale) => scale,
         Err(code) => return code,
     };
-    let Some(sweep) = builtin_sweep(name, scale) else {
+    let Some(sweep) = builtin_sweep(name, scale, all_benchmarks) else {
         eprintln!("iss export: `{name}` is not a built-in sweep (see `iss list`)");
         return ExitCode::FAILURE;
     };
     let text = sweep.to_toml();
-    match args.get(1) {
+    match path {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &text) {
                 eprintln!("iss export: cannot write {path}: {e}");
@@ -136,8 +154,8 @@ fn export(args: &[String]) -> ExitCode {
 
 /// `iss export <target> --jsonl [path]`: runs the sweep and writes the
 /// JSONL columnar record stream to `path` (or stdout).
-fn export_jsonl(target: &str, path: Option<&String>) -> ExitCode {
-    let result = load(target)
+fn export_jsonl(target: &str, path: Option<&String>, all_benchmarks: bool) -> ExitCode {
+    let result = load(target, all_benchmarks)
         .and_then(|sweep| {
             let threads = THREADS.try_get()?;
             sweep.run_with_threads(threads)
@@ -163,15 +181,22 @@ fn export_jsonl(target: &str, path: Option<&String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Loads a sweep from a file path or a built-in name.
-fn load(target: &str) -> Result<SweepSpec, String> {
+/// Loads a sweep from a file path or a built-in name (over the full
+/// benchmark catalogs with `all_benchmarks`, which files do not take).
+fn load(target: &str, all_benchmarks: bool) -> Result<SweepSpec, String> {
     let path = Path::new(target);
     if path.exists() {
+        if all_benchmarks {
+            return Err(format!(
+                "--all-benchmarks applies to built-in sweeps only; `{target}` is a file \
+                 (edit its `benchmarks` axis instead)"
+            ));
+        }
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         return SweepSpec::from_toml(&text).map_err(|e| format!("{}: {e}", path.display()));
     }
-    match builtin_sweep(target, EXPERIMENT_SCALE.try_get()?) {
+    match builtin_sweep(target, EXPERIMENT_SCALE.try_get()?, all_benchmarks) {
         Some(sweep) => Ok(sweep),
         None => Err(format!(
             "`{target}` is neither a readable spec file nor a built-in sweep \
@@ -203,6 +228,7 @@ fn parse_job_list(value: &str) -> Result<Vec<usize>, String> {
 
 fn run(args: &[String]) -> ExitCode {
     let mut target = None;
+    let mut all_benchmarks = false;
     let mut threads = None;
     let mut reference = None;
     let mut json_path: Option<PathBuf> = None;
@@ -211,6 +237,7 @@ fn run(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
+            "--all-benchmarks" => all_benchmarks = true,
             "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n > 0 => threads = Some(n),
                 _ => {
@@ -270,7 +297,7 @@ fn run(args: &[String]) -> ExitCode {
         eprintln!("iss run: --shard and --jobs are mutually exclusive");
         return ExitCode::FAILURE;
     }
-    let sweep = match load(&target) {
+    let sweep = match load(&target, all_benchmarks) {
         Ok(sweep) => sweep,
         Err(e) => {
             eprintln!("iss run: {e}");
@@ -306,21 +333,19 @@ fn run(args: &[String]) -> ExitCode {
             }
         };
     }
-    // A sweep whose rows compare host wall-clocks (the hybrid/sampling
-    // frontiers by name, or any sweep mixing hybrid/sampled variants with
-    // references) runs on one worker by default: concurrent jobs
-    // time-slicing against each other would contaminate exactly the
-    // speedup columns such sweeps exist to report. `--threads` overrides.
-    let frontier = is_wall_clock_frontier(&sweep.name)
-        || points.iter().any(|p| {
-            matches!(
-                p.model,
-                iss_sim::CoreModel::Hybrid(_) | iss_sim::CoreModel::Sampled(_)
-            )
-        });
+    // A sweep whose rows compare host wall-clocks (any sweep holding
+    // hybrid/sampled variants, the built-in frontiers among them) runs on
+    // one worker by default: concurrent jobs time-slicing against each
+    // other would contaminate exactly the speedup columns such sweeps
+    // exist to report. `--threads` overrides.
+    let frontier: BTreeSet<&str> = points
+        .iter()
+        .filter(|p| matches!(p.model, CoreModel::Hybrid(_) | CoreModel::Sampled(_)))
+        .map(|p| p.variant.as_str())
+        .collect();
     let threads = match threads {
         Some(n) => n,
-        None if frontier => 1,
+        None if !frontier.is_empty() => 1,
         None => match THREADS.try_get() {
             Ok(n) => n,
             Err(e) => {
@@ -349,12 +374,47 @@ fn run(args: &[String]) -> ExitCode {
             .any(|r| r.variant == "detailed")
             .then(|| "detailed".to_string())
     });
-    if let Some(reference) = reference {
+    if let Some(reference) = &reference {
         println!();
         print!(
             "{}",
-            report::format_comparison_table(&sweep.name, &records, &reference)
+            report::format_comparison_table(&sweep.name, &records, reference)
         );
+    }
+    if varies_copies_of_one_program(&points) {
+        println!();
+        print!(
+            "{}",
+            report::format_stp_antt_table(
+                &format!("{} — STP and ANTT vs copies", sweep.name),
+                &records
+            )
+        );
+    }
+    // Multi-template sweeps (Figure 8) label variants `<template>/<model>`,
+    // so no record is exactly `detailed`; the normalized view matches the
+    // reference as a suffix and normalizes to the first such run.
+    let norm_reference = reference.as_deref().unwrap_or("detailed");
+    let multithreaded = points
+        .iter()
+        .all(|p| p.benchmark.is_some() && matches!(p.workload, WorkloadSpec::Multithreaded { .. }));
+    if multithreaded && records.iter().any(|r| r.variant.ends_with(norm_reference)) {
+        println!();
+        print!(
+            "{}",
+            report::format_normalized_table(&sweep.name, &records, norm_reference)
+        );
+    }
+    if let Some(reference) = &reference {
+        if !frontier.is_empty() {
+            println!();
+            print!(
+                "{}",
+                report::format_best_point(&records, reference, |r| {
+                    frontier.contains(r.variant.as_str())
+                })
+            );
+        }
     }
     if let Some(path) = json_path {
         let json = render_records_json(&records);
@@ -365,6 +425,23 @@ fn run(args: &[String]) -> ExitCode {
         println!("\nwrote {}", path.display());
     }
     ExitCode::SUCCESS
+}
+
+/// Whether every point is a homogeneous multi-program workload on a
+/// benchmark axis and the sweep runs more than one copy count — the shape
+/// of Figure 6, whose view is STP and ANTT against the single-copy runs.
+/// (Both derived views key their rows by the benchmark coordinate.)
+fn varies_copies_of_one_program(points: &[ScenarioSpec]) -> bool {
+    let mut copies = BTreeSet::new();
+    for p in points {
+        match p.workload {
+            WorkloadSpec::MultiprogramHomogeneous { copies: n, .. } if p.benchmark.is_some() => {
+                copies.insert(n)
+            }
+            _ => return false,
+        };
+    }
+    copies.len() > 1
 }
 
 /// `iss serve`: simulation as a service. Binds the listener, prints the
@@ -529,7 +606,7 @@ fn sweep(args: &[String]) -> ExitCode {
     let Some(target) = target else {
         return usage();
     };
-    let sweep = match load(&target) {
+    let sweep = match load(&target, false) {
         Ok(sweep) => sweep,
         Err(e) => {
             eprintln!("iss sweep: {e}");
@@ -719,13 +796,14 @@ fn lint(args: &[String]) -> ExitCode {
     // still runs, it just reports instructions instead of seconds.
     let mips = std::fs::read_to_string("ci/BENCH_baseline.json")
         .ok()
-        .and_then(|text| iss_lint::ModelMips::parse(&text).ok());
+        .and_then(|text| parse_perf_file(&text).ok())
+        .map(|perf| perf.models);
     let mut errors = 0usize;
     for path in &targets {
         let report = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read: {e}"))
             .and_then(|text| SweepSpec::from_toml(&text))
-            .and_then(|sweep| iss_lint::analyze(&sweep, mips.as_ref()));
+            .and_then(|sweep| spec::analyze(&sweep, mips.as_deref()));
         match report {
             Ok(report) => {
                 let cost = report.estimated_seconds.map_or(String::new(), |s| {
@@ -740,11 +818,11 @@ fn lint(args: &[String]) -> ExitCode {
                 );
                 for f in &report.findings {
                     match f.severity {
-                        iss_lint::Severity::Error => {
+                        spec::Severity::Error => {
                             errors += 1;
                             println!("  error: {}", f.message);
                         }
-                        iss_lint::Severity::Warning => println!("  warning: {}", f.message),
+                        spec::Severity::Warning => println!("  warning: {}", f.message),
                     }
                 }
             }

@@ -37,7 +37,7 @@ use iss_branch::BranchUnit;
 use iss_mem::tlb::TlbConfig;
 use iss_mem::{Cache, CacheConfig, LineState, MemoryHierarchy, Tlb};
 use iss_sim::env::{BENCH_OUT, EXPERIMENT_SCALE, THREADS};
-use iss_sim::experiments::{self, default_sampling_specs, ExperimentScale, Fig4Variant};
+use iss_sim::experiments::{self, default_sampling_specs, ExperimentScale};
 use iss_sim::runner::CoreModel;
 use iss_sim::scenario::{ScenarioSpec, SweepSpec};
 use iss_sim::{SystemConfig, WorkloadSpec};
@@ -379,25 +379,36 @@ fn time_driver(name: &'static str, f: impl FnOnce() -> usize) -> DriverTiming {
 fn time_drivers(scale: ExperimentScale) -> Vec<DriverTiming> {
     let spec2 = &SPEC_QUICK[..2];
     let parsec2 = &PARSEC_QUICK[..2];
+    let [(fig4_name, fig4_machine), ..] = experiments::fig4_variants();
+    let rows = |records: Result<Vec<_>, String>| records.unwrap_or_else(|e| panic!("{e}")).len();
     vec![
         time_driver("fig4", || {
-            experiments::fig4(Fig4Variant::EffectiveDispatchRate, &SPEC_QUICK, scale).len()
+            rows(experiments::fig4_sweep(fig4_name, fig4_machine, &SPEC_QUICK, scale).run())
         }),
-        time_driver("fig5", || experiments::fig5(&SPEC_QUICK, scale).len()),
-        time_driver("fig6", || experiments::fig6(spec2, &[1, 2, 4], scale).len()),
+        time_driver("fig5", || {
+            rows(experiments::fig5_sweep(&SPEC_QUICK, scale).run())
+        }),
+        time_driver("fig6", || {
+            rows(experiments::fig6_sweep(spec2, &[1, 2, 4], scale).run())
+        }),
         time_driver("fig7", || {
-            experiments::fig7(parsec2, &[1, 2, 4], scale).len()
+            rows(experiments::fig7_sweep(parsec2, &[1, 2, 4], scale).run())
         }),
-        time_driver("fig8", || experiments::fig8(parsec2, scale).len()),
-        time_driver("fig9", || experiments::fig9(spec2, &[1, 4], scale).len()),
+        time_driver("fig8", || {
+            rows(experiments::fig8_sweep(parsec2, scale).run())
+        }),
+        time_driver("fig9", || {
+            rows(experiments::fig9_sweep(spec2, &[1, 4], scale).run())
+        }),
         time_driver("fig10", || {
-            experiments::fig10(parsec2, &[1, 4], scale).len()
+            rows(experiments::fig10_sweep(parsec2, &[1, 4], scale).run())
         }),
         time_driver("ablation", || {
-            experiments::ablation(&SPEC_QUICK, scale).len()
+            rows(experiments::ablation_sweep(&SPEC_QUICK, scale).run())
         }),
         time_driver("fig_sampling", || {
-            experiments::fig_sampling(spec2, &default_sampling_specs(scale), scale).len()
+            let specs = default_sampling_specs(scale);
+            rows(experiments::sampling_sweep(spec2, &specs, scale).run_with_threads(1))
         }),
     ]
 }

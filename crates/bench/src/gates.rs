@@ -24,7 +24,8 @@
 use std::fmt::Write as _;
 
 use iss_sim::experiments::{
-    self, default_hybrid_policies, default_sampling_specs, ExperimentScale, Fig4Variant,
+    default_hybrid_policies, default_sampling_specs, fig4_sweep, fig4_variants, fig5_sweep,
+    hybrid_sweep, sampling_sweep, ExperimentScale,
 };
 use iss_sim::jsonval::{self, Json};
 use iss_sim::report;
@@ -223,26 +224,28 @@ pub fn diff_accuracy(golden: &GoldenAccuracy, current: &[GoldenRow]) -> Vec<Stri
 ///
 /// # Panics
 ///
-/// Panics when a comparison group comes back without its reference record
-/// (impossible for the sweeps this function constructs).
+/// Panics when a sweep fails to validate (unknown benchmark), or when a
+/// comparison group comes back without its reference record (impossible
+/// for the sweeps this function constructs).
 #[must_use]
 pub fn compute_accuracy_rows(benchmarks: &[&str], scale: ExperimentScale) -> Vec<GoldenRow> {
+    let ok = |records: Result<Vec<Record>, String>| records.unwrap_or_else(|e| panic!("{e}"));
     let mut rows = Vec::new();
-    for variant in Fig4Variant::all() {
-        rows.extend(ipc_error_rows(&experiments::fig4(
-            variant, benchmarks, scale,
-        )));
+    for (name, machine) in fig4_variants() {
+        let sweep = fig4_sweep(name, machine, benchmarks, scale);
+        rows.extend(ipc_error_rows(&ok(sweep.run())));
     }
-    rows.extend(ipc_error_rows(&experiments::fig5(benchmarks, scale)));
+    rows.extend(ipc_error_rows(&ok(fig5_sweep(benchmarks, scale).run())));
+    // The frontier sweeps compare wall-clocks, so they run on one worker.
     let policies = default_hybrid_policies(scale);
     rows.extend(cpi_error_rows(
-        &experiments::fig_hybrid(benchmarks, &policies, scale),
+        &ok(hybrid_sweep(benchmarks, &policies, scale).run_with_threads(1)),
         "hybrid-",
         "",
     ));
     let specs = default_sampling_specs(scale);
     rows.extend(cpi_error_rows(
-        &experiments::fig_sampling(benchmarks, &specs, scale),
+        &ok(sampling_sweep(benchmarks, &specs, scale).run_with_threads(1)),
         "sampled-",
         "sampling-",
     ));

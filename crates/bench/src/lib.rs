@@ -1,16 +1,16 @@
-//! # iss-bench — the `iss` scenario CLI, figure shims and benchmarks
+//! # iss-bench — the `iss` scenario CLI, CI gates and benchmarks
 //!
-//! The `iss` binary is the front door: `iss run <spec-or-figure>` executes
-//! any scenario file or built-in figure sweep through the generic scenario
-//! engine, `iss validate` checks spec files without simulating, `iss list`
-//! names what is available. The per-figure binaries (`fig4` .. `fig10`,
-//! `fig_hybrid`, `fig_sampling`, `ablation`, `table1`) are thin shims over
-//! the same built-in sweeps ([`scenarios`]), kept for CI and muscle
-//! memory; the Criterion benches under `benches/` measure the host-side
-//! cost of interval vs detailed simulation (the quantity behind Figures 9
-//! and 10).
+//! The `iss` binary is the one front door: `iss run <spec-or-figure>`
+//! executes any scenario file or built-in figure sweep ([`scenarios`])
+//! through the generic scenario engine and prints the views its points
+//! call for, `iss validate` checks spec files without simulating, `iss
+//! lint` analyzes them statically ([`spec`]), `iss list` names what is
+//! available. `table1` prints the simulated machine's configuration; the
+//! gate binaries diff against the files under `ci/` ([`gates`]); the
+//! Criterion benches under `benches/` measure the host-side cost of
+//! interval vs detailed simulation (the quantity behind Figures 9 and 10).
 //!
-//! The instruction budget of the binaries is controlled by the
+//! The instruction budget of the built-in sweeps is controlled by the
 //! `ISS_EXPERIMENT_SCALE` environment variable: `quick` (default for CI
 //! smoke runs), `full` (the paper-style runs), or a number of instructions
 //! per benchmark.
@@ -20,9 +20,10 @@
 
 pub mod gates;
 pub mod scenarios;
+pub mod spec;
 
-/// The subset of SPEC benchmarks used when a binary is asked for a quick run
-/// (one representative per behaviour class).
+/// The subset of SPEC benchmarks the built-in sweeps use unless asked for
+/// `--all-benchmarks` (one representative per behaviour class).
 pub const SPEC_QUICK: [&str; 6] = ["gcc", "gzip", "mcf", "twolf", "swim", "mesa"];
 
 /// The subset of PARSEC benchmarks used for quick runs.

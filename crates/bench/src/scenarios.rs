@@ -2,16 +2,16 @@
 //! [`SweepSpec`].
 //!
 //! `iss run <name>` resolves names through [`builtin_sweep`]; `iss list`
-//! prints [`BUILTINS`]. Each entry is exactly the sweep the corresponding
-//! figure shim binary runs, and each is mirrored by a checked-in scenario
-//! file under `examples/scenarios/` (a regression test asserts the two
-//! stay equal, so the spec files cannot silently drift from the Rust
-//! constructors).
+//! prints [`BUILTINS`]. Each entry at the quick benchmark subsets is
+//! mirrored by a checked-in scenario file under `examples/scenarios/` (a
+//! regression test asserts the two stay equal, so the spec files cannot
+//! silently drift from the Rust constructors).
 
 use iss_sim::experiments::{
-    self, default_hybrid_policies, default_sampling_specs, ExperimentScale, Fig4Variant,
+    self, default_hybrid_policies, default_sampling_specs, fig4_variants, ExperimentScale,
 };
 use iss_sim::SweepSpec;
+use iss_trace::catalog::{PARSEC, SPEC_CPU2000};
 
 use crate::{CORE_COUNTS, PARSEC_QUICK, SPEC_QUICK};
 
@@ -74,39 +74,35 @@ pub const BUILTINS: [(&str, &str); 13] = [
     ),
 ];
 
-/// Resolves a built-in sweep name at the given scale (quick benchmark
-/// subsets, the same sweeps the figure shim binaries run).
+/// Resolves a built-in sweep name at the given scale. The SPEC and PARSEC
+/// sweeps use the quick benchmark subsets, or the full catalogs with
+/// `all_benchmarks`; Figure 6 always uses [`FIG6_BENCHMARKS`].
 #[must_use]
-pub fn builtin_sweep(name: &str, scale: ExperimentScale) -> Option<SweepSpec> {
-    let spec_quick: Vec<&str> = SPEC_QUICK.to_vec();
-    let parsec_quick: Vec<&str> = PARSEC_QUICK.to_vec();
+pub fn builtin_sweep(
+    name: &str,
+    scale: ExperimentScale,
+    all_benchmarks: bool,
+) -> Option<SweepSpec> {
+    let (spec, parsec): (&[&str], &[&str]) = if all_benchmarks {
+        (&SPEC_CPU2000, &PARSEC)
+    } else {
+        (&SPEC_QUICK, &PARSEC_QUICK)
+    };
+    if let Some((slug, machine)) = fig4_variants().into_iter().find(|(slug, _)| *slug == name) {
+        return Some(experiments::fig4_sweep(slug, machine, spec, scale));
+    }
     Some(match name {
-        "fig4-dispatch" => {
-            experiments::fig4_sweep(Fig4Variant::EffectiveDispatchRate, &spec_quick, scale)
-        }
-        "fig4-icache" => experiments::fig4_sweep(Fig4Variant::ICache, &spec_quick, scale),
-        "fig4-branch" => experiments::fig4_sweep(Fig4Variant::BranchPrediction, &spec_quick, scale),
-        "fig4-l2" => experiments::fig4_sweep(Fig4Variant::L2Cache, &spec_quick, scale),
-        "fig5" => experiments::fig5_sweep(&spec_quick, scale),
+        "fig5" => experiments::fig5_sweep(spec, scale),
         "fig6" => experiments::fig6_sweep(&FIG6_BENCHMARKS, &CORE_COUNTS, scale),
-        "fig7" => experiments::fig7_sweep(&parsec_quick, &CORE_COUNTS, scale),
-        "fig8" => experiments::fig8_sweep(&parsec_quick, scale),
-        "fig9" => experiments::fig9_sweep(&spec_quick, &CORE_COUNTS, scale),
-        "fig10" => experiments::fig10_sweep(&parsec_quick, &CORE_COUNTS, scale),
-        "hybrid" => experiments::hybrid_sweep(&spec_quick, &default_hybrid_policies(scale), scale),
-        "sampling" => {
-            experiments::sampling_sweep(&spec_quick, &default_sampling_specs(scale), scale)
-        }
-        "ablation" => experiments::ablation_sweep(&spec_quick, scale),
+        "fig7" => experiments::fig7_sweep(parsec, &CORE_COUNTS, scale),
+        "fig8" => experiments::fig8_sweep(parsec, scale),
+        "fig9" => experiments::fig9_sweep(spec, &CORE_COUNTS, scale),
+        "fig10" => experiments::fig10_sweep(parsec, &CORE_COUNTS, scale),
+        "hybrid" => experiments::hybrid_sweep(spec, &default_hybrid_policies(scale), scale),
+        "sampling" => experiments::sampling_sweep(spec, &default_sampling_specs(scale), scale),
+        "ablation" => experiments::ablation_sweep(spec, scale),
         _ => return None,
     })
-}
-
-/// Whether a built-in sweep's speedup columns compare wall-clocks and must
-/// therefore run on a single batch worker.
-#[must_use]
-pub fn is_wall_clock_frontier(name: &str) -> bool {
-    matches!(name, "hybrid" | "sampling")
 }
 
 #[cfg(test)]
@@ -117,7 +113,7 @@ mod tests {
     fn every_listed_builtin_resolves_and_expands() {
         let scale = ExperimentScale::quick();
         for (name, _) in BUILTINS {
-            let sweep = builtin_sweep(name, scale)
+            let sweep = builtin_sweep(name, scale, false)
                 .unwrap_or_else(|| panic!("builtin `{name}` must resolve"));
             assert_eq!(sweep.name, name);
             let points = sweep
@@ -125,14 +121,28 @@ mod tests {
                 .unwrap_or_else(|e| panic!("builtin `{name}` must expand: {e}"));
             assert!(!points.is_empty(), "builtin `{name}` expands to no points");
         }
-        assert!(builtin_sweep("fig11", scale).is_none());
+        assert!(builtin_sweep("fig11", scale, false).is_none());
+    }
+
+    #[test]
+    fn all_benchmarks_swaps_in_the_full_catalogs() {
+        let scale = ExperimentScale::quick();
+        let benchmarks =
+            |name: &str, all: bool| builtin_sweep(name, scale, all).unwrap().benchmarks;
+        assert_eq!(benchmarks("fig5", false), SPEC_QUICK);
+        assert_eq!(benchmarks("fig5", true), SPEC_CPU2000);
+        assert_eq!(benchmarks("fig4-l2", true), SPEC_CPU2000);
+        assert_eq!(benchmarks("fig7", false), PARSEC_QUICK);
+        assert_eq!(benchmarks("fig10", true), PARSEC);
+        // Figure 6 has its own benchmark set either way.
+        assert_eq!(benchmarks("fig6", true), FIG6_BENCHMARKS);
     }
 
     #[test]
     fn builtin_files_round_trip_through_the_codec() {
         let scale = ExperimentScale::quick();
         for (name, _) in BUILTINS {
-            let sweep = builtin_sweep(name, scale).unwrap();
+            let sweep = builtin_sweep(name, scale, false).unwrap();
             let reparsed = SweepSpec::from_toml(&sweep.to_toml())
                 .unwrap_or_else(|e| panic!("builtin `{name}` must re-parse: {e}"));
             assert_eq!(

@@ -1,4 +1,4 @@
-//! Pass 2 — static analysis of scenario specs, before any simulation.
+//! Static analysis of scenario specs, before any simulation (`iss lint`).
 //!
 //! A sweep that parses and validates can still be wasteful or
 //! meaningless: two expanded points with identical canonical config
@@ -8,14 +8,20 @@
 //! outside the paper's modeled range produces numbers nobody should
 //! read. [`analyze`] finds all of that from the spec text alone and adds
 //! a cost estimate (expanded job count × per-model throughput from
-//! `ci/BENCH_baseline.json`) so a fat sweep is visible before it burns
-//! CI minutes.
+//! `ci/BENCH_baseline.json`, read by [`crate::gates::parse_perf_file`]) so
+//! a fat sweep is visible before it burns CI minutes.
+//!
+//! The workspace's source-level determinism rules (no default-hasher
+//! maps, no wall-clock reads outside `HostTimer`, no library panics) are
+//! not checked here: they come from the toolchain, through the root
+//! `clippy.toml` and `[workspace.lints]` (see the README).
 
 use std::collections::BTreeMap;
 
-use iss_sim::jsonval::{self, Json};
-use iss_sim::workload::WorkloadSpec;
-use iss_sim::{CoreModel, SweepSpec};
+use iss_sim::store::workload_instructions;
+use iss_sim::SweepSpec;
+
+use crate::gates::ModelMips;
 
 /// Severity of one spec finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,72 +64,17 @@ impl SpecReport {
     }
 }
 
-/// Per-model host throughput (MIPS), read from `ci/BENCH_baseline.json`.
-#[derive(Debug, Clone, Default)]
-pub struct ModelMips {
-    entries: Vec<(String, f64)>,
-}
-
-impl ModelMips {
-    /// Extracts `{"model": .., "simulated_mips": ..}` pairs from the
-    /// baseline file's `models` array.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the text is not valid JSON, or when no model
-    /// entry can be extracted (an empty estimate must be an explicit "no
-    /// baseline", not a silent zero).
-    pub fn parse(json: &str) -> Result<ModelMips, String> {
-        let doc = jsonval::parse(json)?;
-        let entries: Vec<(String, f64)> = doc
-            .get("models")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|m| {
-                let model = m.get("model")?.as_str()?;
-                let mips = m.get("simulated_mips")?.as_f64()?;
-                (mips > 0.0).then(|| (model.to_string(), mips))
-            })
-            .collect();
-        if entries.is_empty() {
-            return Err("no model entries with a positive simulated_mips found".to_string());
-        }
-        Ok(ModelMips { entries })
-    }
-
-    /// Throughput for `model`: an exact name match, else the slowest
-    /// known model (a conservative estimate for hybrids and newcomers).
-    #[must_use]
-    pub fn mips_for(&self, model: &str) -> Option<f64> {
-        self.entries
-            .iter()
-            .find(|(name, _)| name == model)
-            .map(|&(_, m)| m)
-            .or_else(|| {
-                self.entries
-                    .iter()
-                    .map(|&(_, m)| m)
-                    .min_by(|a, b| a.total_cmp(b))
-            })
-    }
-}
-
-/// Total simulated instructions one expanded point costs.
-fn workload_instructions(w: &WorkloadSpec) -> u64 {
-    match w {
-        WorkloadSpec::Single { length, .. } => *length,
-        WorkloadSpec::MultiprogramHomogeneous {
-            copies,
-            length_per_copy,
-            ..
-        } => length_per_copy.saturating_mul(*copies as u64),
-        WorkloadSpec::Multiprogram {
-            benchmarks,
-            length_per_copy,
-        } => length_per_copy.saturating_mul(benchmarks.len() as u64),
-        WorkloadSpec::Multithreaded { total_length, .. } => *total_length,
-    }
+/// Host throughput for `model` from a perf file's model rows: an exact
+/// name match, else the slowest known model (a conservative estimate for
+/// hybrids, sampled runs and newcomers). Rows without a positive MIPS are
+/// ignored.
+#[must_use]
+pub fn mips_for(models: &[ModelMips], model: &str) -> Option<f64> {
+    let positive = || models.iter().filter(|m| m.simulated_mips > 0.0);
+    positive()
+        .find(|m| m.model == model)
+        .or_else(|| positive().min_by(|a, b| a.simulated_mips.total_cmp(&b.simulated_mips)))
+        .map(|m| m.simulated_mips)
 }
 
 /// The paper's modeled window/dispatch regime. Outside this band the
@@ -138,7 +89,7 @@ const WINDOW_PER_DISPATCH: (u64, u64) = (4, 256);
 /// Returns the underlying parse/expansion error when the sweep cannot be
 /// expanded at all — that is `iss validate` territory; the lint pass
 /// only runs on specs that validate.
-pub fn analyze(sweep: &SweepSpec, mips: Option<&ModelMips>) -> Result<SpecReport, String> {
+pub fn analyze(sweep: &SweepSpec, mips: Option<&[ModelMips]>) -> Result<SpecReport, String> {
     let points = sweep.expand()?;
     let mut findings = Vec::new();
 
@@ -249,7 +200,9 @@ pub fn analyze(sweep: &SweepSpec, mips: Option<&ModelMips>) -> Result<SpecReport
     for p in &points {
         let insts = workload_instructions(&p.workload);
         instructions = instructions.saturating_add(insts);
-        match mips.and_then(|m| m.mips_for(&model_rate_name(p.model))) {
+        // The baseline keys throughput by plain model names; parameterized
+        // models fall back to the slowest entry unless listed exactly.
+        match mips.and_then(|m| mips_for(m, &p.model.name())) {
             Some(rate) => seconds += insts as f64 / (rate * 1.0e6),
             None => have_seconds = false,
         }
@@ -264,22 +217,16 @@ pub fn analyze(sweep: &SweepSpec, mips: Option<&ModelMips>) -> Result<SpecReport
     })
 }
 
-/// The baseline table keys throughput by plain model names; parameterized
-/// models (hybrid, sampled) fall back to the slowest baseline entry via
-/// [`ModelMips::mips_for`] unless their exact string is present.
-fn model_rate_name(model: CoreModel) -> String {
-    model.name()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gates::parse_perf_file;
 
     fn spec(text: &str) -> SweepSpec {
         SweepSpec::from_toml(text).unwrap()
     }
 
-    const BASELINE: &str = r#"{"models": [
+    const BASELINE: &str = r#"{"schema": "iss-bench-perf/v1", "models": [
         {"model": "interval", "simulated_mips": 5.0},
         {"model": "detailed", "simulated_mips": 0.5}
     ]}"#;
@@ -322,7 +269,7 @@ mod tests {
             models = ["interval", "detailed"]
             benchmarks = ["gcc", "mcf"]
         "#;
-        let mips = ModelMips::parse(BASELINE).unwrap();
+        let mips = parse_perf_file(BASELINE).unwrap().models;
         let report = analyze(&spec(text), Some(&mips)).unwrap();
         assert!(report.findings.is_empty(), "{:?}", report.findings);
         assert_eq!(report.points, 4);
@@ -403,18 +350,24 @@ mod tests {
 
     #[test]
     fn baseline_parsing_reads_the_perf_file_shape() {
-        let mips = ModelMips::parse(BASELINE).unwrap();
-        assert_eq!(mips.mips_for("interval"), Some(5.0));
-        assert_eq!(mips.mips_for("detailed"), Some(0.5));
+        let mips = parse_perf_file(BASELINE).unwrap().models;
+        assert_eq!(mips_for(&mips, "interval"), Some(5.0));
+        assert_eq!(mips_for(&mips, "detailed"), Some(0.5));
         // Unknown models fall back to the slowest entry.
-        assert_eq!(mips.mips_for("hybrid-periodic-4@2000"), Some(0.5));
-        assert!(ModelMips::parse("{}").is_err());
+        assert_eq!(mips_for(&mips, "hybrid-periodic-4@2000"), Some(0.5));
+        assert!(parse_perf_file("{}").is_err());
         // A truncated file is an error, never a partial read.
         let cut = &BASELINE[..BASELINE.find("detailed").unwrap()];
-        assert!(ModelMips::parse(cut).is_err());
+        assert!(parse_perf_file(cut).is_err());
+        // Rows without a positive throughput never answer, not even as
+        // the slowest-model fallback.
+        let zeroed = BASELINE.replace("0.5", "0.0");
+        let mips = parse_perf_file(&zeroed).unwrap().models;
+        assert_eq!(mips_for(&mips, "detailed"), Some(5.0));
+        assert_eq!(mips_for(&mips[1..], "detailed"), None);
         // The checked-in perf baseline parses.
         let real = include_str!("../../../ci/BENCH_baseline.json");
-        let mips = ModelMips::parse(real).unwrap();
-        assert!(mips.mips_for("interval").is_some_and(|m| m > 0.0));
+        let mips = parse_perf_file(real).unwrap().models;
+        assert!(mips_for(&mips, "interval").is_some_and(|m| m > 0.0));
     }
 }

@@ -28,7 +28,7 @@ fn checked_in_figure_files_mirror_the_builtin_sweeps() {
     let scale = ExperimentScale::quick();
     for (name, _) in BUILTINS {
         let from_file = read_sweep(&format!("{name}.toml"));
-        let from_rust = builtin_sweep(name, scale).expect("builtin resolves");
+        let from_rust = builtin_sweep(name, scale, false).expect("builtin resolves");
         assert_eq!(
             from_file, from_rust,
             "`examples/scenarios/{name}.toml` drifted from the `{name}` builtin \

@@ -1,27 +1,29 @@
 //! Experiment drivers: one thin [`SweepSpec`] constructor per figure of the
 //! paper's evaluation.
 //!
-//! Every figure is now data, not code: a constructor here assembles the
-//! same declarative [`SweepSpec`] a checked-in scenario file under
+//! Every figure is data, not code: a constructor here assembles the same
+//! declarative [`SweepSpec`] a checked-in scenario file under
 //! `examples/scenarios/` describes, and the generic scenario engine runs
-//! it into unified [`Record`] rows (the `figN` wrappers do exactly that).
-//! The derived quantities the figures plot — IPC error, STP/ANTT,
-//! normalized execution time, host-time speedup, confidence intervals —
-//! are methods over records (see [`Record`] and [`crate::report`]), so
-//! adding a new experiment needs no new row struct, formatter or driver
-//! function.
+//! it into unified [`Record`](crate::Record) rows with
+//! [`SweepSpec::run`]. `iss run <name>` is the one front door that runs
+//! them and prints their views. The derived quantities the figures plot —
+//! IPC error, STP/ANTT, normalized execution time, host-time speedup,
+//! confidence intervals — are methods over records (see
+//! [`Record`](crate::Record) and [`crate::report`]), so adding a new
+//! experiment needs no new row struct, formatter or driver function.
 //!
 //! Sweeps execute on the parallel [`batch`](crate::batch) engine; every
 //! simulated quantity is deterministic in `(model, config, workload,
 //! seed)`, so the rows are identical whether `ISS_THREADS` is 1 or 64.
-//! The two wall-clock frontier sweeps ([`fig_hybrid`], [`fig_sampling`])
-//! run on a single worker so their speedup columns are not contaminated
-//! by host contention between concurrent jobs.
+//! The two wall-clock frontier sweeps ([`hybrid_sweep`],
+//! [`sampling_sweep`]) are run with [`SweepSpec::run_with_threads`]`(1)`
+//! so their speedup columns are not contaminated by host contention
+//! between concurrent jobs.
 
 use crate::hybrid::HybridSpec;
 use crate::runner::{BaseModel, CoreModel};
 use crate::sampling::SamplingSpec;
-use crate::scenario::{MachineSpec, Record, ScenarioSpec, SweepSpec, Template};
+use crate::scenario::{MachineSpec, ScenarioSpec, SweepSpec, Template};
 use crate::workload::WorkloadSpec;
 
 /// Instruction budget and seed for an experiment.
@@ -46,7 +48,7 @@ impl ExperimentScale {
         }
     }
 
-    /// The budget used by the figure-regeneration binaries.
+    /// The paper-style budget (`ISS_EXPERIMENT_SCALE=full`).
     #[must_use]
     pub fn full() -> Self {
         ExperimentScale {
@@ -63,79 +65,18 @@ impl Default for ExperimentScale {
     }
 }
 
-/// The four component-isolation experiments of Figure 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Fig4Variant {
-    /// (a) Effective dispatch rate: perfect branch predictor, I-side and L2.
-    EffectiveDispatchRate,
-    /// (b) I-cache/I-TLB: everything else perfect.
-    ICache,
-    /// (c) Branch prediction: all caches perfect.
-    BranchPrediction,
-    /// (d) L2 cache: perfect branch predictor and I-side.
-    L2Cache,
-}
-
-impl Fig4Variant {
-    /// All four variants in the order of the figure.
-    #[must_use]
-    pub fn all() -> [Fig4Variant; 4] {
-        [
-            Fig4Variant::EffectiveDispatchRate,
-            Fig4Variant::ICache,
-            Fig4Variant::BranchPrediction,
-            Fig4Variant::L2Cache,
-        ]
-    }
-
-    /// The machine spec implementing this variant.
-    #[must_use]
-    pub fn machine(self) -> MachineSpec {
-        match self {
-            Fig4Variant::EffectiveDispatchRate => MachineSpec::fig4_effective_dispatch_rate(),
-            Fig4Variant::ICache => MachineSpec::fig4_icache(),
-            Fig4Variant::BranchPrediction => MachineSpec::fig4_branch_prediction(),
-            Fig4Variant::L2Cache => MachineSpec::fig4_l2(),
-        }
-    }
-
-    /// The system configuration implementing this variant.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: the presets resolve by construction.
-    #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "fig4 presets are compiled-in specs that resolve by construction"
-    )]
-    pub fn config(self) -> crate::config::SystemConfig {
-        self.machine()
-            .resolve(1)
-            .expect("fig4 presets resolve by construction")
-    }
-
-    /// Stable slug used as the sweep name and in golden files.
-    #[must_use]
-    pub fn slug(self) -> &'static str {
-        match self {
-            Fig4Variant::EffectiveDispatchRate => "fig4-dispatch",
-            Fig4Variant::ICache => "fig4-icache",
-            Fig4Variant::BranchPrediction => "fig4-branch",
-            Fig4Variant::L2Cache => "fig4-l2",
-        }
-    }
-
-    /// Label used in reports.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Fig4Variant::EffectiveDispatchRate => "effective dispatch rate",
-            Fig4Variant::ICache => "I-cache/TLB",
-            Fig4Variant::BranchPrediction => "branch prediction",
-            Fig4Variant::L2Cache => "L2 cache",
-        }
-    }
+/// Figure 4's component-isolation machines in figure order, each with the
+/// sweep name it runs under (and is pinned by in the golden files):
+/// (a) effective dispatch rate, (b) I-cache/I-TLB, (c) branch prediction,
+/// (d) L2 cache.
+#[must_use]
+pub fn fig4_variants() -> [(&'static str, MachineSpec); 4] {
+    [
+        ("fig4-dispatch", MachineSpec::fig4_effective_dispatch_rate()),
+        ("fig4-icache", MachineSpec::fig4_icache()),
+        ("fig4-branch", MachineSpec::fig4_branch_prediction()),
+        ("fig4-l2", MachineSpec::fig4_l2()),
+    ]
 }
 
 /// The two timing models the accuracy figures compare.
@@ -164,32 +105,28 @@ fn with_unit_reference(core_counts: &[usize]) -> Vec<usize> {
     cores
 }
 
-/// Figure 4 as a declarative sweep: the component-isolation machine of the
-/// variant, detailed vs interval, one group per benchmark.
+/// Figure 4 as a declarative sweep named `name`: one component-isolation
+/// machine of [`fig4_variants`], detailed vs interval, one group per
+/// benchmark.
 #[must_use]
-pub fn fig4_sweep(variant: Fig4Variant, benchmarks: &[&str], scale: ExperimentScale) -> SweepSpec {
+pub fn fig4_sweep(
+    name: &str,
+    machine: MachineSpec,
+    benchmarks: &[&str],
+    scale: ExperimentScale,
+) -> SweepSpec {
     let mut s = sweep(
-        variant.slug(),
+        name,
         WorkloadSpec::single(
             benchmarks.first().copied().unwrap_or("gcc"),
             scale.spec_length,
         ),
-        variant.machine(),
+        machine,
         scale.seed,
     );
     s.benchmarks = benchmarks_owned(benchmarks);
     s.models = DETAILED_VS_INTERVAL.to_vec();
     s
-}
-
-/// Figure 4: component-wise accuracy of interval simulation for one variant.
-///
-/// # Panics
-///
-/// Panics when the sweep fails to validate (unknown benchmark).
-#[must_use]
-pub fn fig4(variant: Fig4Variant, benchmarks: &[&str], scale: ExperimentScale) -> Vec<Record> {
-    run_sweep(fig4_sweep(variant, benchmarks, scale))
 }
 
 /// Figure 5 as a declarative sweep: the Table 1 baseline, detailed vs
@@ -210,19 +147,10 @@ pub fn fig5_sweep(benchmarks: &[&str], scale: ExperimentScale) -> SweepSpec {
     s
 }
 
-/// Figure 5: overall single-threaded accuracy (all structures real).
-///
-/// # Panics
-///
-/// Panics when the sweep fails to validate (unknown benchmark).
-#[must_use]
-pub fn fig5(benchmarks: &[&str], scale: ExperimentScale) -> Vec<Record> {
-    run_sweep(fig5_sweep(benchmarks, scale))
-}
-
 /// Figure 6 as a declarative sweep: homogeneous multi-program workloads
 /// over a copy-count axis (with the single-program baseline always
-/// included), detailed vs interval.
+/// included), detailed vs interval. The figure is the STP/ANTT view of its
+/// records ([`crate::report::format_stp_antt_table`]).
 #[must_use]
 pub fn fig6_sweep(benchmarks: &[&str], copy_counts: &[usize], scale: ExperimentScale) -> SweepSpec {
     let mut s = sweep(
@@ -241,20 +169,10 @@ pub fn fig6_sweep(benchmarks: &[&str], copy_counts: &[usize], scale: ExperimentS
     s
 }
 
-/// Figure 6: STP and ANTT of homogeneous multi-program workloads as a
-/// function of the number of co-running copies (derive the metrics with
-/// [`crate::report::stp_antt_rows`]).
-///
-/// # Panics
-///
-/// Panics when the sweep fails to validate (unknown benchmark).
-#[must_use]
-pub fn fig6(benchmarks: &[&str], copy_counts: &[usize], scale: ExperimentScale) -> Vec<Record> {
-    run_sweep(fig6_sweep(benchmarks, copy_counts, scale))
-}
-
 /// Figure 7 as a declarative sweep: multi-threaded PARSEC workloads over a
 /// core-count axis (single-core reference included), detailed vs interval.
+/// The figure is the normalized-time view of its records
+/// ([`crate::report::format_normalized_table`]).
 #[must_use]
 pub fn fig7_sweep(benchmarks: &[&str], core_counts: &[usize], scale: ExperimentScale) -> SweepSpec {
     let mut s = sweep(
@@ -273,18 +191,6 @@ pub fn fig7_sweep(benchmarks: &[&str], core_counts: &[usize], scale: ExperimentS
     s
 }
 
-/// Figure 7: normalized execution time of the multi-threaded PARSEC
-/// workloads as a function of the number of cores (derive the normalized
-/// times with [`crate::report::format_normalized_table`]).
-///
-/// # Panics
-///
-/// Panics when the sweep fails to validate (unknown benchmark).
-#[must_use]
-pub fn fig7(benchmarks: &[&str], core_counts: &[usize], scale: ExperimentScale) -> Vec<Record> {
-    run_sweep(fig7_sweep(benchmarks, core_counts, scale))
-}
-
 /// The variant labels of Figure 8's two design points.
 pub const FIG8_DUAL_VARIANT: &str = "2 cores + L2";
 /// The variant label of Figure 8's quad-core 3D-stacked design point.
@@ -292,7 +198,8 @@ pub const FIG8_QUAD_VARIANT: &str = "4 cores + 3D";
 
 /// Figure 8 as a declarative sweep: two explicit design-point templates
 /// (dual-core + L2 + external DRAM vs quad-core + no L2 + 3D-stacked
-/// DRAM), detailed vs interval, one group per benchmark.
+/// DRAM), detailed vs interval, one group per benchmark. Normalized to the
+/// dual-core detailed run, the first `detailed` record per benchmark.
 #[must_use]
 pub fn fig8_sweep(benchmarks: &[&str], scale: ExperimentScale) -> SweepSpec {
     let first = benchmarks.first().copied().unwrap_or("vips");
@@ -315,18 +222,6 @@ pub fn fig8_sweep(benchmarks: &[&str], scale: ExperimentScale) -> SweepSpec {
     s
 }
 
-/// Figure 8: the 3D-stacking case study (normalize with
-/// [`crate::report::format_normalized_table`] against the dual-core
-/// detailed variant).
-///
-/// # Panics
-///
-/// Panics when the sweep fails to validate (unknown benchmark).
-#[must_use]
-pub fn fig8(benchmarks: &[&str], scale: ExperimentScale) -> Vec<Record> {
-    run_sweep(fig8_sweep(benchmarks, scale))
-}
-
 /// Figure 9 as a declarative sweep: homogeneous SPEC multi-program
 /// workloads over a core-count axis, detailed vs interval (the speedup
 /// columns of the comparison view are the figure).
@@ -346,17 +241,6 @@ pub fn fig9_sweep(benchmarks: &[&str], core_counts: &[usize], scale: ExperimentS
     s.cores = core_counts.to_vec();
     s.models = DETAILED_VS_INTERVAL.to_vec();
     s
-}
-
-/// Figure 9: simulation speedup of interval over detailed simulation for
-/// homogeneous SPEC multi-program workloads.
-///
-/// # Panics
-///
-/// Panics when the sweep fails to validate (unknown benchmark).
-#[must_use]
-pub fn fig9(benchmarks: &[&str], core_counts: &[usize], scale: ExperimentScale) -> Vec<Record> {
-    run_sweep(fig9_sweep(benchmarks, core_counts, scale))
 }
 
 /// Figure 10 as a declarative sweep: multi-threaded PARSEC workloads over
@@ -383,17 +267,6 @@ pub fn fig10_sweep(
     s
 }
 
-/// Figure 10: simulation speedup of interval over detailed simulation for
-/// the multi-threaded PARSEC workloads.
-///
-/// # Panics
-///
-/// Panics when the sweep fails to validate (unknown benchmark).
-#[must_use]
-pub fn fig10(benchmarks: &[&str], core_counts: &[usize], scale: ExperimentScale) -> Vec<Record> {
-    run_sweep(fig10_sweep(benchmarks, core_counts, scale))
-}
-
 /// The default policy sweep of the hybrid frontier: pin-interval (the fast
 /// extreme), periodic detailed sampling, and phase-triggered swapping. The
 /// interval quantum is a tenth of the per-benchmark budget so every run
@@ -409,7 +282,11 @@ pub fn default_hybrid_policies(scale: ExperimentScale) -> Vec<HybridSpec> {
 }
 
 /// The hybrid frontier as a declarative sweep: per benchmark, a
-/// pure-detailed reference variant plus one hybrid variant per policy.
+/// pure-detailed reference variant plus one hybrid variant per policy;
+/// each `(benchmark, policy)` record pairs with its group's detailed
+/// record into one speed-vs-CPI-error frontier point. Run it on one worker
+/// ([`SweepSpec::run_with_threads`]`(1)`): the speedup column compares
+/// wall-clocks, which concurrent jobs would contaminate.
 #[must_use]
 pub fn hybrid_sweep(
     benchmarks: &[&str],
@@ -430,32 +307,6 @@ pub fn hybrid_sweep(
         .chain(policies.iter().map(|&p| CoreModel::Hybrid(p)))
         .collect();
     s
-}
-
-/// The hybrid experiment: per benchmark, one pure-detailed reference run
-/// and one hybrid run per policy; each `(benchmark, policy)` record pairs
-/// with its group's detailed record into one speed-vs-CPI-error frontier
-/// point.
-///
-/// Unlike the other drivers this one runs its jobs on a **single** batch
-/// worker regardless of `ISS_THREADS`: the frontier's speedup column
-/// compares the reference and hybrid wall-clocks, and concurrent jobs
-/// time-slicing against each other would contaminate exactly that
-/// measurement. The simulated columns are `ISS_THREADS`-invariant either
-/// way.
-///
-/// # Panics
-///
-/// Panics when the sweep fails to validate (unknown benchmark).
-#[must_use]
-pub fn fig_hybrid(
-    benchmarks: &[&str],
-    policies: &[HybridSpec],
-    scale: ExperimentScale,
-) -> Vec<Record> {
-    hybrid_sweep(benchmarks, policies, scale)
-        .run_with_threads(1)
-        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The default sampling sweep of the frontier: a sparse and a dense
@@ -494,7 +345,8 @@ pub fn sampling_length(scale: ExperimentScale) -> u64 {
 
 /// The sampled-simulation frontier as a declarative sweep: per benchmark,
 /// pure-detailed and pure-interval reference variants plus one sampled
-/// variant per spec.
+/// variant per spec (a speed-vs-error-vs-confidence frontier point each).
+/// Like [`hybrid_sweep`], run it on one worker.
 #[must_use]
 pub fn sampling_sweep(
     benchmarks: &[&str],
@@ -516,29 +368,6 @@ pub fn sampling_sweep(
         .chain(specs.iter().map(|&sp| CoreModel::Sampled(sp)))
         .collect();
     s
-}
-
-/// The sampled-simulation experiment: per benchmark, one pure-detailed and
-/// one pure-interval reference run plus one sampled run per spec; each
-/// `(benchmark, spec)` record pairs with its group's references into one
-/// speed-vs-error-vs-confidence frontier point.
-///
-/// Like [`fig_hybrid`] this runs its jobs on a **single** batch worker
-/// regardless of `ISS_THREADS`, because the frontier compares wall-clocks;
-/// the simulated columns are `ISS_THREADS`-invariant either way.
-///
-/// # Panics
-///
-/// Panics when the sweep fails to validate (unknown benchmark).
-#[must_use]
-pub fn fig_sampling(
-    benchmarks: &[&str],
-    specs: &[SamplingSpec],
-    scale: ExperimentScale,
-) -> Vec<Record> {
-    sampling_sweep(benchmarks, specs, scale)
-        .run_with_threads(1)
-        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The variant labels of the ablation study, in row order: the detailed
@@ -599,22 +428,6 @@ pub fn ablation_sweep(benchmarks: &[&str], scale: ExperimentScale) -> SweepSpec 
     s
 }
 
-/// Ablation study over the interval model's design choices: second-order
-/// overlap modeling and the old-window reset, compared against the one-IPC
-/// baseline, for single-threaded workloads.
-///
-/// # Panics
-///
-/// Panics when the sweep fails to validate (unknown benchmark).
-#[must_use]
-pub fn ablation(benchmarks: &[&str], scale: ExperimentScale) -> Vec<Record> {
-    run_sweep(ablation_sweep(benchmarks, scale))
-}
-
-fn run_sweep(sweep: SweepSpec) -> Vec<Record> {
-    sweep.run().unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -630,11 +443,10 @@ mod tests {
 
     #[test]
     fn fig4_variants_produce_paired_records_with_bounded_error() {
-        let records = fig4(
-            Fig4Variant::EffectiveDispatchRate,
-            &["gzip", "swim"],
-            tiny(),
-        );
+        let [(name, machine), ..] = fig4_variants();
+        let records = fig4_sweep(name, machine, &["gzip", "swim"], tiny())
+            .run()
+            .unwrap();
         assert_eq!(records.len(), 4); // 2 benchmarks x 2 models
         for pair in records.chunks_exact(2) {
             let (detailed, interval) = (&pair[0], &pair[1]);
@@ -654,7 +466,7 @@ mod tests {
 
     #[test]
     fn fig5_reports_all_requested_benchmarks() {
-        let records = fig5(&["gcc", "mcf"], tiny());
+        let records = fig5_sweep(&["gcc", "mcf"], tiny()).run().unwrap();
         assert_eq!(records.len(), 4);
         assert_eq!(records[0].group, "gcc");
         assert_eq!(records[2].group, "mcf");
@@ -664,7 +476,7 @@ mod tests {
 
     #[test]
     fn fig6_stp_between_one_and_copies() {
-        let records = fig6(&["gcc"], &[1, 2], tiny());
+        let records = fig6_sweep(&["gcc"], &[1, 2], tiny()).run().unwrap();
         // 1 benchmark x 2 copy counts x 2 models.
         assert_eq!(records.len(), 4);
         let rows = report::stp_antt_rows(&records);
@@ -677,7 +489,9 @@ mod tests {
 
     #[test]
     fn fig7_single_core_detailed_is_normalized_to_one() {
-        let records = fig7(&["blackscholes"], &[1, 2], tiny());
+        let records = fig7_sweep(&["blackscholes"], &[1, 2], tiny())
+            .run()
+            .unwrap();
         assert_eq!(records.len(), 4);
         let one_core_detailed = records
             .iter()
@@ -690,7 +504,7 @@ mod tests {
 
     #[test]
     fn fig8_produces_two_designs_per_benchmark() {
-        let records = fig8(&["swaptions"], tiny());
+        let records = fig8_sweep(&["swaptions"], tiny()).run().unwrap();
         // 1 benchmark x 2 designs x 2 models.
         assert_eq!(records.len(), 4);
         assert_eq!(records[0].variant, "2 cores + L2/detailed");
@@ -702,7 +516,7 @@ mod tests {
 
     #[test]
     fn fig9_speedup_is_positive_and_generally_above_one() {
-        let records = fig9(&["mcf"], &[1], tiny());
+        let records = fig9_sweep(&["mcf"], &[1], tiny()).run().unwrap();
         assert_eq!(records.len(), 2);
         let (detailed, interval) = (&records[0], &records[1]);
         assert!(interval.speedup_vs(detailed) > 0.0);
@@ -712,7 +526,9 @@ mod tests {
     fn fig_hybrid_produces_one_record_per_benchmark_policy_pair() {
         let scale = tiny();
         let policies = default_hybrid_policies(scale);
-        let records = fig_hybrid(&["gcc"], &policies, scale);
+        let records = hybrid_sweep(&["gcc"], &policies, scale)
+            .run_with_threads(1)
+            .unwrap();
         assert_eq!(records.len(), 1 + policies.len());
         let detailed = &records[0];
         assert_eq!(detailed.variant, "detailed");
@@ -738,7 +554,7 @@ mod tests {
 
     #[test]
     fn ablation_removes_mlp_and_hurts_memory_bound_accuracy() {
-        let records = ablation(&["mcf"], tiny());
+        let records = ablation_sweep(&["mcf"], tiny()).run().unwrap();
         assert_eq!(records.len(), 5);
         let by_variant = |v: &str| {
             records
@@ -762,16 +578,5 @@ mod tests {
             let ipc = by_variant(v).core_ipc(0);
             assert!(ipc > 0.0 && ipc <= 4.0, "{v}: {ipc}");
         }
-    }
-
-    #[test]
-    fn sweep_constructors_mirror_their_run_wrappers() {
-        // The `figN` wrappers must be nothing but `figN_sweep(...).run()`.
-        let scale = tiny();
-        let sweep = fig5_sweep(&["gcc"], scale);
-        let direct = sweep.run_with_threads(1).unwrap();
-        let via_wrapper = fig5(&["gcc"], scale);
-        let canon = |rs: &[Record]| rs.iter().map(Record::canonical).collect::<Vec<_>>();
-        assert_eq!(canon(&direct), canon(&via_wrapper));
     }
 }

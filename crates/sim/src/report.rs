@@ -8,8 +8,9 @@
 //! coverage). The two genuinely structural views the multi-core figures
 //! need — STP/ANTT over a copy-count axis and execution time normalized to
 //! a reference run — are generic over records too ([`stp_antt_rows`],
-//! [`format_normalized_table`]); they work for any sweep with the right
-//! axes, not just the figure that motivated them.
+//! [`format_normalized_table`]), and so is the headline of a
+//! speed-vs-accuracy frontier ([`format_best_point`]); they work for any
+//! sweep with the right axes, not just the figure that motivated them.
 
 use crate::metrics;
 use crate::scenario::Record;
@@ -342,6 +343,57 @@ pub fn format_normalized_table(title: &str, records: &[Record], reference: &str)
     out
 }
 
+/// The CPI error a frontier point may carry and still count as accurate.
+const BEST_POINT_MAX_CPI_ERROR: f64 = 0.05;
+
+/// The headline of a speed-vs-accuracy frontier (the hybrid and sampled
+/// sweeps): among the `candidate` records, the one with the highest
+/// host-time speedup over its group's `reference` record whose CPI stays
+/// within 5% of it, with its 95% confidence half-width when it carries
+/// one. One line, or a note that no candidate stayed that accurate.
+#[must_use]
+pub fn format_best_point(
+    records: &[Record],
+    reference: &str,
+    candidate: impl Fn(&Record) -> bool,
+) -> String {
+    let best = groups(records)
+        .into_iter()
+        .filter_map(|group| {
+            let reference = group.variant(reference).filter(|r| !r.is_quarantined())?;
+            group
+                .records
+                .iter()
+                .filter(|r| r.variant != reference.variant && !r.is_quarantined() && candidate(r))
+                .filter(|r| r.cpi_error_vs(reference) <= BEST_POINT_MAX_CPI_ERROR)
+                .map(|r| {
+                    (
+                        *r,
+                        group.key,
+                        r.speedup_vs(reference),
+                        r.cpi_error_vs(reference),
+                    )
+                })
+                .max_by(|a, b| a.2.total_cmp(&b.2))
+        })
+        .max_by(|a, b| a.2.total_cmp(&b.2));
+    let limit = BEST_POINT_MAX_CPI_ERROR * 100.0;
+    match best {
+        Some((r, group, speedup, error)) => {
+            let ci = r.ci95_half_width().map_or(String::new(), |w| {
+                format!(" (95% CI half-width {w:.3} CPI)")
+            });
+            format!(
+                "best point within {limit:.0}% CPI error: {} on {group} — {speedup:.1}x at \
+                 {:.1}% error{ci}\n",
+                r.variant,
+                error * 100.0
+            )
+        }
+        None => format!("no point stayed within {limit:.0}% CPI error at this scale\n"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,6 +475,45 @@ mod tests {
         assert!(t.contains("5.0%"), "5% CPI error expected in: {t}");
         assert!(t.contains("5.0x"), "5x speedup expected in: {t}");
         assert!(t.contains("1/1 sampled rows"), "CI coverage in: {t}");
+    }
+
+    #[test]
+    fn best_point_is_the_fastest_candidate_within_five_percent() {
+        let mut sampled = record("mcf", "sampled-a", 1, 2_080, 1.0);
+        sampled.sampling = Some(SamplingEstimate {
+            units_total: 10,
+            units_measured: 4,
+            prefix_instructions: 100,
+            measured_instructions: 400,
+            cpi: 2.08,
+            steady_cpi: 2.08,
+            aux_slope: 0.0,
+            cpi_stddev: 0.05,
+            ci95_half_width: 0.125,
+        });
+        let records = vec![
+            record("gcc", "detailed", 1, 2_000, 8.0),
+            // Fastest of all, but 10% off: never the best point.
+            record("gcc", "hybrid-fast", 1, 2_200, 0.5),
+            record("gcc", "hybrid-ok", 1, 2_040, 2.0),
+            record("mcf", "detailed", 1, 2_000, 10.0),
+            // Within 5% and fast, but not a candidate.
+            record("mcf", "interval", 1, 2_020, 0.1),
+            sampled,
+        ];
+        let line = format_best_point(&records, "detailed", |r| r.variant != "interval");
+        assert_eq!(
+            line,
+            "best point within 5% CPI error: sampled-a on mcf — 10.0x at 4.0% error \
+             (95% CI half-width 0.125 CPI)\n"
+        );
+        let line = format_best_point(&records, "detailed", |r| r.variant.starts_with("hybrid"));
+        assert_eq!(
+            line,
+            "best point within 5% CPI error: hybrid-ok on gcc — 4.0x at 2.0% error\n"
+        );
+        let none = format_best_point(&records, "detailed", |r| r.variant == "hybrid-fast");
+        assert_eq!(none, "no point stayed within 5% CPI error at this scale\n");
     }
 
     #[test]

@@ -330,25 +330,39 @@ mod tests {
     #[test]
     fn fig4_presets_resolve_bit_identically_to_the_legacy_constructors() {
         // The accuracy gate's golden numbers depend on these configs being
-        // *exactly* the legacy ones, not merely similar.
-        assert_eq!(
-            MachineSpec::fig4_effective_dispatch_rate()
-                .resolve(1)
-                .unwrap(),
-            SystemConfig::fig4_effective_dispatch_rate()
-        );
-        assert_eq!(
-            MachineSpec::fig4_icache().resolve(1).unwrap(),
-            SystemConfig::fig4_icache()
-        );
-        assert_eq!(
-            MachineSpec::fig4_branch_prediction().resolve(1).unwrap(),
-            SystemConfig::fig4_branch_prediction()
-        );
-        assert_eq!(
-            MachineSpec::fig4_l2().resolve(1).unwrap(),
-            SystemConfig::fig4_l2()
-        );
+        // *exactly* the ones the figure was first pinned with: the Table 1
+        // baseline with whole components swapped for perfect ones.
+        let legacy = |perfect_branch: bool, iside: bool, dside: bool, l2: bool| {
+            let mut c = SystemConfig::hpca2010_baseline(1);
+            if perfect_branch {
+                c.branch = BranchPredictorConfig::perfect();
+            }
+            if iside {
+                c.memory = c.memory.with_perfect_instruction_side();
+            }
+            if dside {
+                c.memory = c.memory.with_perfect_data_side();
+            }
+            if l2 {
+                c.memory = c.memory.with_perfect_l2();
+            }
+            c
+        };
+        let cases = [
+            (
+                MachineSpec::fig4_effective_dispatch_rate(),
+                legacy(true, true, false, true),
+            ),
+            (MachineSpec::fig4_icache(), legacy(true, false, true, false)),
+            (
+                MachineSpec::fig4_branch_prediction(),
+                legacy(false, true, true, false),
+            ),
+            (MachineSpec::fig4_l2(), legacy(true, true, false, false)),
+        ];
+        for (preset, expected) in cases {
+            assert_eq!(preset.resolve(1).unwrap(), expected, "{}", preset.label());
+        }
     }
 
     #[test]

@@ -348,14 +348,23 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, self_addr: &str) {
     };
     let writer = Mutex::new(write_half);
     let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else {
+    // Split on raw newlines: a request that is not UTF-8 is answered with
+    // an error event like any other malformed line, not a dropped
+    // connection.
+    for line in reader.split(b'\n') {
+        let Ok(bytes) = line else {
             break;
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match handle_request(shared, &writer, &line) {
+        let outcome = String::from_utf8(bytes)
+            .map_err(|_| "request line is not UTF-8".to_string())
+            .and_then(|line| {
+                let line = line.strip_suffix('\r').unwrap_or(&line);
+                if line.trim().is_empty() {
+                    return Ok(true);
+                }
+                handle_request(shared, &writer, line)
+            });
+        match outcome {
             Ok(keep_going) => {
                 if !keep_going {
                     // Shutdown: poke the accept loop so it observes the
@@ -380,11 +389,12 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, self_addr: &str) {
     }
 }
 
-/// Writes one response line, ignoring a disconnected client.
+/// Writes one response line, ignoring a disconnected client. Line and
+/// newline go out in one write: as two, the newline waits on Nagle's
+/// algorithm for the client's delayed ACK of the line (tens of ms each).
 fn send_line(writer: &Mutex<TcpStream>, line: &str) {
     let mut w = lock(writer);
-    let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
+    let _ = w.write_all(format!("{line}\n").as_bytes());
     let _ = w.flush();
 }
 
@@ -709,10 +719,10 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) -> Result<(), String> {
+        // One write per request, for the same Nagle reason as `send_line`.
         let stream = self.reader.get_mut();
         stream
-            .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
+            .write_all(format!("{line}\n").as_bytes())
             .and_then(|()| stream.flush())
             .map_err(|e| format!("cannot send request: {e}"))
     }

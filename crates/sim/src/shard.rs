@@ -19,8 +19,8 @@
 //! * [`run_sharded_sweep`] — the supervisor: generic over a *launcher*
 //!   closure mapping a [`ShardTask`] to a [`Command`], so unit tests fake
 //!   children with `sh` while the CLI launches `iss run --jobs ...`.
-//! * A write-ahead checkpoint file (one JSON line per finished job,
-//!   content-addressed by [`sweep_digest`]) making an interrupted sweep
+//! * A write-ahead checkpoint file (one checksummed JSON line per finished
+//!   job, content-addressed by [`sweep_digest`]) making an interrupted sweep
 //!   resumable: with [`ShardOptions::resume`], only jobs missing from the
 //!   checkpoint are re-executed.
 //!
@@ -40,11 +40,13 @@ use crate::batch::{try_run_batch_with_threads, FailureKind, JobFailure};
 use crate::env::{FAULT_INJECT, JOB_TIMEOUT_MS, SHARD_RETRIES};
 use crate::host_time::HostTimer;
 use crate::jsonval::{self, Json};
-use crate::scenario::jsonl::{parse_record_line, record_from_json, render_record_line};
+use crate::scenario::jsonl::{
+    parse_record_line, record_from_json, render_record_line, seal, unseal,
+};
 use crate::scenario::{fnv1a_hex, Record, ScenarioSpec, SweepSpec};
 
 /// Schema tag of the first line of a checkpoint file.
-pub const CHECKPOINT_SCHEMA: &str = "iss-sweep-ckpt/v1";
+pub const CHECKPOINT_SCHEMA: &str = "iss-sweep-ckpt/v2";
 
 /// Exit status of a child taken down by an injected `exit` fault.
 pub const FAULT_EXIT_STATUS: i32 = 17;
@@ -281,7 +283,7 @@ fn checkpoint_header(name: &str, digest: &str, jobs: usize) -> String {
 }
 
 fn parse_checkpoint_line(line: &str) -> Result<(usize, Record), String> {
-    let v = jsonval::parse(line)?;
+    let v = jsonval::parse(unseal(line)?)?;
     let job = v
         .get("job")
         .and_then(Json::as_usize)
@@ -375,13 +377,13 @@ struct CheckpointWriter {
 impl CheckpointWriter {
     fn append(&mut self, job: usize, record: &Record) -> Result<(), String> {
         if let Some(f) = &mut self.file {
-            writeln!(
-                f,
+            let line = format!(
                 "{{\"job\": {job}, \"record\": {}}}",
                 render_record_line(record)
-            )
-            .and_then(|()| f.flush())
-            .map_err(|e| format!("failed to append to checkpoint: {e}"))?;
+            );
+            writeln!(f, "{}", seal(&line))
+                .and_then(|()| f.flush())
+                .map_err(|e| format!("failed to append to checkpoint: {e}"))?;
         }
         Ok(())
     }
@@ -1100,6 +1102,79 @@ mod tests {
         requested.sort_unstable();
         expected.sort_unstable();
         assert_eq!(requested, expected, "only the missing jobs re-run");
+    }
+
+    #[test]
+    fn truncated_or_mutated_checkpoints_load_only_intact_records() {
+        let sweep = tiny_sweep();
+        let records = sweep.run_with_threads(1).unwrap();
+        let digests = point_digests(&sweep.expand().unwrap()).unwrap();
+        let sweep_digest = digest_of(&sweep.name, &digests);
+        let dir = test_dir("mutate");
+        let ckpt = dir.join("mutate.ckpt");
+        let header = checkpoint_header(&sweep.name, &sweep_digest, records.len());
+        std::fs::write(&ckpt, format!("{header}\n")).unwrap();
+        let mut writer = CheckpointWriter {
+            file: Some(
+                std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&ckpt)
+                    .unwrap(),
+            ),
+        };
+        for (job, record) in records.iter().enumerate() {
+            writer.append(job, record).unwrap();
+        }
+        drop(writer);
+        let valid = std::fs::read(&ckpt).unwrap();
+        // Byte offset where each job's line ends (its newline).
+        let line_ends: Vec<usize> = valid
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .map(|(i, _)| i)
+            .skip(1)
+            .collect();
+        assert_eq!(line_ends.len(), records.len());
+        // Loads `bytes`; a success may only hold the first jobs in file
+        // order, each byte-identical to what was written.
+        let load = |bytes: &[u8], what: &str| -> Option<usize> {
+            std::fs::write(&ckpt, bytes).unwrap();
+            let done = load_checkpoint(&ckpt, &sweep_digest, &digests).ok()?;
+            for (i, (job, record)) in done.iter().enumerate() {
+                assert_eq!(*job, i, "{what}: loaded job {job} out of order");
+                assert_eq!(
+                    render_record_line(record),
+                    render_record_line(&records[*job]),
+                    "{what}: job {job} loaded altered"
+                );
+            }
+            Some(done.len())
+        };
+        for cut in 0..valid.len() {
+            if let Some(loaded) = load(&valid[..cut], &format!("{cut}-byte prefix")) {
+                // Every whole job line survives; only the torn tail drops.
+                let whole = line_ends.iter().filter(|&&end| end <= cut).count();
+                assert!(loaded == whole || loaded == whole + 1, "{cut}: {loaded}");
+            }
+        }
+        for at in 0..valid.len() {
+            for replacement in [b'"', b'0', b'\n', valid[at] ^ 0x01, 0xff] {
+                if replacement == valid[at] {
+                    continue;
+                }
+                let mut bytes = valid.clone();
+                bytes[at] = replacement;
+                let what = format!("byte {at} -> {replacement:#04x}");
+                if let Some(loaded) = load(&bytes, &what) {
+                    // Only the damaged line — and anything a lost newline
+                    // fused onto it — may drop, and only as the torn tail.
+                    let before = line_ends.iter().filter(|&&end| end < at).count();
+                    assert!(loaded >= before, "{what}: {loaded}");
+                }
+            }
+        }
+        assert_eq!(load(&valid, "untouched"), Some(records.len()));
     }
 
     #[test]

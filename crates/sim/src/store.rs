@@ -11,11 +11,12 @@
 //!   (stale entries linger only until the LRU bound reclaims them);
 //! * the key embeds the canonical point digest (resolved config +
 //!   workload + model + seed), so *any* spec change is a different key;
-//! * every entry file repeats its key fields in a header, and a `get`
-//!   whose header disagrees with the requested key — or whose body does
-//!   not parse (a torn write, manual tampering, disk corruption) — is
-//!   treated as a **miss**: the bad entry is dropped and re-simulated,
-//!   never returned and never a crash;
+//! * every entry file repeats its key fields in a header and carries a
+//!   checksum of its whole text, and a `get` whose header disagrees with
+//!   the requested key — or whose text fails the checksum or does not
+//!   parse (a torn write, manual tampering, disk corruption) — is treated
+//!   as a **miss**: the bad entry is dropped and re-simulated, never
+//!   returned and never a crash;
 //! * a configurable byte bound evicts least-recently-used entries so the
 //!   store stays finite under unbounded distinct traffic.
 //!
@@ -30,12 +31,12 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::jsonval::{self, Json};
-use crate::scenario::jsonl::{record_from_json, render_record_line};
+use crate::scenario::jsonl::{record_from_json, render_record_line, seal, unseal};
 use crate::scenario::{fnv1a_hex, Record, ScenarioSpec};
 use crate::workload::WorkloadSpec;
 
 /// Schema tag of every entry file's header object.
-pub const ENTRY_SCHEMA: &str = "iss-cache-entry/v1";
+pub const ENTRY_SCHEMA: &str = "iss-cache-entry/v2";
 
 /// File name of the append-only access log inside a store directory.
 const LRU_LOG: &str = "lru.log";
@@ -407,25 +408,26 @@ impl ResultStore {
     }
 }
 
-/// Renders one entry file: a single JSON line with the key fields and the
-/// record (lossless JSONL codec, so a cached response is byte-identical
-/// to the fresh one that populated it).
+/// Renders one entry file: a single sealed line (checksum, then a JSON
+/// object with the key fields and the record — lossless JSONL codec, so a
+/// cached response is byte-identical to the fresh one that populated it).
 fn render_entry(key: &CacheKey, record: &Record) -> String {
-    format!(
+    let body = format!(
         "{{\"schema\": \"{ENTRY_SCHEMA}\", \"key\": \"{}\", \"version\": \"{}\", \
-         \"point_digest\": \"{}\", \"seed\": {}, \"scale\": {}, \"record\": {}}}\n",
+         \"point_digest\": \"{}\", \"seed\": {}, \"scale\": {}, \"record\": {}}}",
         key.digest(),
         jsonval::escape(&key.version),
         jsonval::escape(&key.point_digest),
         key.seed,
         key.scale,
         render_record_line(record)
-    )
+    );
+    format!("{}\n", seal(&body))
 }
 
 /// Parses and validates one entry file against the requested key.
 fn parse_entry(text: &str, key: &CacheKey) -> Result<Record, String> {
-    let v = jsonval::parse(text.trim_end())?;
+    let v = jsonval::parse(unseal(text.strip_suffix('\n').unwrap_or(text))?)?;
     let field = |name: &str| -> String {
         v.get(name)
             .and_then(Json::as_str)
@@ -574,6 +576,43 @@ mod tests {
             assert!(store.get(&key).is_some());
             store.clear().unwrap();
         }
+    }
+
+    #[test]
+    fn every_truncation_and_byte_mutation_of_an_entry_is_a_miss() {
+        let dir = test_dir("mutate");
+        let p = point("gcc", 1_500);
+        let key = CacheKey::for_point(&p, "1").unwrap();
+        let record = simulate(&p);
+        let mut store = ResultStore::open_with_version(&dir, None, "1").unwrap();
+        store.put(&key, &record).unwrap();
+        let path = store.entry_path(&key.digest());
+        let valid = std::fs::read(&path).unwrap();
+        let mut tampered = |bytes: &[u8]| {
+            store.put(&key, &record).unwrap();
+            std::fs::write(&path, bytes).unwrap();
+            store.get(&key)
+        };
+        // Every proper prefix of the entry (the last byte is its newline).
+        for cut in 0..valid.len() - 1 {
+            assert!(tampered(&valid[..cut]).is_none(), "{cut}-byte prefix hit");
+        }
+        // Every byte replaced by a structural, a digit, a space and a
+        // bit-flipped value; any change must fail the checksum.
+        for at in 0..valid.len() {
+            for replacement in [b'"', b'0', b' ', valid[at] ^ 0x01, 0xff] {
+                if replacement == valid[at] {
+                    continue;
+                }
+                let mut bytes = valid.clone();
+                bytes[at] = replacement;
+                assert!(
+                    tampered(&bytes).is_none(),
+                    "byte {at} -> {replacement:#04x} hit"
+                );
+            }
+        }
+        assert!(tampered(&valid).is_some(), "the untouched entry still hits");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The figure drivers read `ISS_THREADS`; their rows must not depend on it.
+//! `SweepSpec::run` reads `ISS_THREADS`; figure rows must not depend on it.
 //!
 //! This is deliberately the *only* test in this binary: it mutates the
 //! process environment with `std::env::set_var`, which is unsound when other
@@ -8,7 +8,7 @@
 //! on the calling thread before the pool starts).
 
 use iss_sim::env::THREADS;
-use iss_sim::experiments::{fig5, fig6, ExperimentScale};
+use iss_sim::experiments::{fig5_sweep, fig6_sweep, ExperimentScale};
 use iss_sim::Record;
 
 /// Everything deterministic in a record (host wall-clock excluded — it
@@ -27,12 +27,14 @@ fn driver_rows_are_identical_across_worker_counts() {
     };
     std::env::set_var("ISS_THREADS", "1");
     assert_eq!(THREADS.get(), 1);
-    let serial_fig5 = fig5(&["gcc", "mcf"], scale);
-    let serial_fig6 = fig6(&["gzip"], &[1, 2], scale);
+    let fig5 = fig5_sweep(&["gcc", "mcf"], scale);
+    let fig6 = fig6_sweep(&["gzip"], &[1, 2], scale);
+    let serial_fig5 = fig5.run().unwrap();
+    let serial_fig6 = fig6.run().unwrap();
     std::env::set_var("ISS_THREADS", "4");
     assert_eq!(THREADS.get(), 4);
-    let parallel_fig5 = fig5(&["gcc", "mcf"], scale);
-    let parallel_fig6 = fig6(&["gzip"], &[1, 2], scale);
+    let parallel_fig5 = fig5.run().unwrap();
+    let parallel_fig6 = fig6.run().unwrap();
     std::env::remove_var("ISS_THREADS");
     assert_eq!(canonical(&serial_fig5), canonical(&parallel_fig5));
     assert_eq!(canonical(&serial_fig6), canonical(&parallel_fig6));

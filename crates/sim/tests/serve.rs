@@ -220,3 +220,164 @@ fn the_store_outlives_the_server_across_restarts() {
     let recold = run_once(&evicting);
     assert_eq!(recold.misses, 4, "--evict must start from an empty store");
 }
+
+/// A one-point spec small enough that even a mutated-but-valid copy of it
+/// (any digit of its length changed) simulates in milliseconds.
+const FUZZ_SPEC: &str = r#"schema = "iss-scenario/v1"
+name = "serve-fuzz"
+[workload]
+kind = "single"
+benchmark = "gzip"
+length = 1000
+"#;
+
+/// Fragments for arbitrary request lines: JSON structure, protocol words,
+/// escapes, multi-byte characters and bytes that are not UTF-8.
+const FRAGMENTS: [&[u8]; 22] = [
+    b"{",
+    b"}",
+    b"[",
+    b"]",
+    b"\"",
+    b":",
+    b",",
+    b" ",
+    b"\\",
+    b"\\u12",
+    b"\\ud800",
+    b"0",
+    b"-1e999",
+    b"null",
+    b"\"cmd\"",
+    b"\"run\"",
+    b"\"stats\"",
+    b"\"spec_toml\"",
+    b"\r",
+    "é\u{1F600}".as_bytes(),
+    b"\xff",
+    b"\xc3",
+];
+
+/// The reply a request line must draw: `None` for a blank line (ignored),
+/// else the terminal event names it may end with.
+fn expected_replies(line: &[u8]) -> Option<&'static [&'static str]> {
+    let Ok(text) = std::str::from_utf8(line) else {
+        return Some(&["error"]);
+    };
+    let text = text.strip_suffix('\r').unwrap_or(text);
+    if text.trim().is_empty() {
+        return None;
+    }
+    let cmd = iss_sim::jsonval::parse(text)
+        .ok()
+        .and_then(|v| v.get("cmd").and_then(|c| c.as_str().map(str::to_string)));
+    Some(match cmd.as_deref() {
+        Some("stats") => &["stats"],
+        Some("run") => &["done", "error"],
+        Some(other) => {
+            assert_ne!(other, "shutdown", "generated a shutdown request");
+            &["error"]
+        }
+        None => &["error"],
+    })
+}
+
+#[test]
+fn arbitrary_and_mutated_request_lines_each_draw_an_answer() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (addr, handle) = start("fuzz", 1);
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    // A request the server never answers fails the test instead of
+    // hanging it.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+
+    // Deterministic xorshift, so a failure names a reproducible input.
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut next = move |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    let stats_line = br#"{"cmd": "stats"}"#.to_vec();
+    let run_line = format!(
+        "{{\"cmd\": \"run\", \"spec_toml\": \"{}\"}}",
+        iss_sim::jsonval::escape(FUZZ_SPEC)
+    )
+    .into_bytes();
+    let mut lines: Vec<Vec<u8>> = Vec::new();
+    for _ in 0..150 {
+        let len = 1 + next(12);
+        lines.push(
+            (0..len)
+                .flat_map(|_| FRAGMENTS[next(FRAGMENTS.len())].to_vec())
+                .collect(),
+        );
+    }
+    for base in [&stats_line, &run_line] {
+        for _ in 0..60 {
+            let mut line = base.clone();
+            let at = next(line.len());
+            line[at] = [b'"', b'}', b'0', b' ', b'\n', line[at] ^ 0x01, 0xff][next(7)];
+            lines.push(line);
+        }
+        for cut in [1, base.len() / 2, base.len() - 1] {
+            lines.push(base[..cut].to_vec());
+        }
+    }
+
+    for line in &lines {
+        writer
+            .write_all(&[line.as_slice(), b"\n"].concat())
+            .expect("send");
+        // A newline inside a line splits it into several requests, each
+        // answered in turn.
+        for request in line.split(|&b| b == b'\n') {
+            let Some(allowed) = expected_replies(request) else {
+                continue;
+            };
+            let event = loop {
+                let mut reply = String::new();
+                let n = reader.read_line(&mut reply).expect("read reply");
+                assert!(
+                    n > 0,
+                    "server closed the connection on {:?}",
+                    String::from_utf8_lossy(request)
+                );
+                let value = iss_sim::jsonval::parse(reply.trim_end()).expect("reply is JSON");
+                let event = value
+                    .get("event")
+                    .and_then(|e| e.as_str().map(str::to_string));
+                // A run streams `job` events before its terminal one.
+                if event.as_deref() != Some("job") {
+                    break event.unwrap_or_default();
+                }
+            };
+            assert!(
+                allowed.contains(&event.as_str()),
+                "{:?} drew `{event}`, expected one of {allowed:?}",
+                String::from_utf8_lossy(request)
+            );
+        }
+    }
+
+    // The server is still whole: this connection and a fresh one answer.
+    writer
+        .write_all(b"{\"cmd\": \"stats\"}\n")
+        .expect("send stats");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("stats reply");
+    assert!(reply.contains("\"stats\""), "{reply}");
+    // A clean shutdown waits for open connections to close.
+    drop((reader, writer));
+    let mut client = Client::connect(&addr).expect("connect");
+    let stats = client.stats().expect("stats after the fuzz");
+    assert!(stats.requests > 0);
+    client.shutdown().expect("shutdown");
+    assert_eq!(handle.join().expect("join"), Ok(()));
+}

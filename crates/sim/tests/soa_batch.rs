@@ -35,7 +35,7 @@
 
 use iss_branch::{BranchStats, BranchUnit};
 use iss_mem::MemoryHierarchy;
-use iss_sim::experiments::{default_sampling_specs, fig_sampling, ExperimentScale};
+use iss_sim::experiments::{default_sampling_specs, sampling_sweep, ExperimentScale};
 use iss_sim::sampling::{run_sampled_with_batch, SamplingSpec};
 use iss_sim::{BaseModel, Record, SimSummary, SystemConfig, WorkloadSpec};
 use iss_trace::{catalog, BranchInfo, InstructionStream, MemAccess, SyntheticStream, ThreadId};
@@ -338,10 +338,8 @@ fn soa_batched_paths_are_bit_identical_to_scalar() {
         seed: 11,
     };
     let sampling_spec = default_sampling_specs(scale)[0];
-    std::env::set_var("ISS_THREADS", "1");
-    let serial = fig_sampling(&["gcc", "mcf"], &[sampling_spec], scale);
-    std::env::set_var("ISS_THREADS", "4");
-    let parallel = fig_sampling(&["gcc", "mcf"], &[sampling_spec], scale);
-    std::env::remove_var("ISS_THREADS");
+    let sweep = sampling_sweep(&["gcc", "mcf"], &[sampling_spec], scale);
+    let serial = sweep.run_with_threads(1).unwrap();
+    let parallel = sweep.run_with_threads(4).unwrap();
     assert_eq!(canonical(&serial), canonical(&parallel));
 }
